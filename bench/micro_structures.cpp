@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "agent/convergecast.hpp"
+#include "agent/durable.hpp"
 #include "agent/whiteboard.hpp"
 #include "forest/hibernate.hpp"
 #include "forest/tree_slab.hpp"
@@ -20,7 +21,10 @@
 #include "core/package.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "sim/channel.hpp"
+#include "sim/crash.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault.hpp"
 #include "sim/network.hpp"
 #include "sim/watchdog.hpp"
 #include "util/rng.hpp"
@@ -282,6 +286,108 @@ void BM_HibernateEncodeAllocs(benchmark::State& state) {
   check_steady_state_allocs("capture/encode_tree_image", per_op);
 }
 BENCHMARK(BM_HibernateEncodeAllocs);
+
+void BM_ReliableChannelFrameAllocs(benchmark::State& state) {
+  // One logical send per iteration through the ARQ channel over a drop +
+  // crash fault stack, run to quiescence: the data frame, retransmits
+  // across drops and down windows, in-order release, the cumulative ack
+  // and the stale timers.  The link entry, its window ring, the pending
+  // slab and each slot's payload buffer are warm after the first sends, so
+  // steady state must not allocate.  (No duplicating adversary: duplicated
+  // copies take the network's boxed cold path, outside this contract.)
+  sim::EventQueue q;
+  sim::Network net(q, sim::make_delay(sim::DelayKind::kFixed, 1));
+  const sim::CrashSchedule crashes(Rng(7), /*node_fraction=*/1.0,
+                                   /*period=*/512, /*down_len=*/64);
+  net.set_fault_policy(sim::make_crash_stack(
+      std::make_unique<sim::DropFault>(Rng(3), 0.2),
+      std::make_shared<const sim::CrashSchedule>(crashes)));
+  net.enable_reliability();
+  // Give every calendar bucket and the far heap their capacity up front:
+  // with backoff timers the firing ticks wander over all kWindow residues.
+  q.reserve(64);
+  for (SimTime d = 0; d < sim::EventQueue::kWindow; ++d) {
+    for (int k = 0; k < 4; ++k) q.schedule_after(d, [] {});
+  }
+  q.run();
+  std::uint64_t delivered = 0;
+  const sim::Message msg = sim::Message::agent_hop(7, 3, 5, 1, 2, true);
+  for (int i = 0; i < 64; ++i) {
+    net.send(0, 1, msg, [&delivered] { ++delivered; });
+    q.run();
+  }
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    net.send(0, 1, msg, [&delivered] { ++delivered; });
+    q.run();
+    ++ops;
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  if (delivered != ops + 64 || net.channel()->in_flight() != 0) {
+    std::fprintf(stderr, "FATAL: reliable channel lost or kept a frame\n");
+    std::abort();
+  }
+  const double per_op =
+      ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
+  state.counters["allocs_per_op"] = per_op;
+  state.counters["retransmits_per_op"] =
+      static_cast<double>(net.channel()->stats().retransmits) /
+      static_cast<double>(ops + 64);
+  // Debug builds legitimately allocate here (every transmission is encoded
+  // for the round-trip check); the release contract is zero.
+  check_steady_state_allocs("ReliableChannel::send/deliver/ack", per_op);
+}
+BENCHMARK(BM_ReliableChannelFrameAllocs);
+
+void BM_DurablePersistAllocs(benchmark::State& state) {
+  // The durable-whiteboard journal: the provider fills the store's reused
+  // scratch snapshot and persist() encodes it into the node's existing
+  // slot.  Once every slot has held every board shape (and the scratch
+  // queue the longest waiter queue), a journal write must not allocate.
+  constexpr std::size_t kBoards = 64;
+  Rng rng(0xd0ab1eULL);
+  std::vector<agent::BoardSnapshot> boards(kBoards);
+  for (std::size_t i = 0; i < kBoards; ++i) {
+    agent::BoardSnapshot& b = boards[i];
+    b.locked = i % 4 != 0;
+    b.locked_by = b.locked ? rng.uniform(0, 1u << 20) : agent::kNoAgent;
+    b.down_child = i % 5 == 0 ? kNoNode : rng.uniform(0, 1024);
+    b.flooded = i % 7 == 0;
+    for (std::size_t k = 0; k < i % 4; ++k) {
+      agent::ParkedAgent p;
+      p.agent = rng.uniform(0, 1u << 20);
+      p.came_from = rng.uniform(0, 1024);
+      p.origin = rng.uniform(0, 1024);
+      p.distance = rng.uniform(0, 32);
+      p.phase = 1;
+      p.req_subject = p.origin;
+      b.queue.push_back(p);
+    }
+  }
+  std::size_t shift = 0;
+  agent::DurableStore store(
+      [&boards, &shift](NodeId v, agent::BoardSnapshot& out) {
+        out = boards[(v + shift) % kBoards];
+      });
+  for (shift = 0; shift < kBoards; ++shift) {
+    for (NodeId v = 0; v < kBoards; ++v) store.persist(v);
+  }
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    shift = (ops / kBoards) % kBoards;
+    store.persist(ops % kBoards);
+    ++ops;
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  benchmark::DoNotOptimize(store.bits_written());
+  const double per_op =
+      ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
+  state.counters["allocs_per_op"] = per_op;
+  check_steady_state_allocs("DurableStore::persist", per_op);
+}
+BENCHMARK(BM_DurablePersistAllocs);
 
 void BM_TreeAddRemoveLeaf(benchmark::State& state) {
   tree::DynamicTree t;

@@ -59,6 +59,12 @@ sim::Encoded encode_board(const BoardSnapshot& b) {
   return w.finish();
 }
 
+sim::Encoded encode_board(const BoardSnapshot& b, sim::Encoded&& reuse) {
+  sim::BitWriter w(std::move(reuse));
+  write_board(w, b);
+  return w.finish();
+}
+
 std::uint64_t board_snapshot_bits(const BoardSnapshot& b) {
   sim::BitCounter c;
   write_board(c, b);
@@ -104,21 +110,29 @@ DurableStore::DurableStore(Provider provider)
   DYNCON_REQUIRE(static_cast<bool>(provider_), "DurableStore needs a provider");
 }
 
+DurableStore::DurableStore(std::function<BoardSnapshot(NodeId)> provider) {
+  DYNCON_REQUIRE(static_cast<bool>(provider), "DurableStore needs a provider");
+  provider_ = [p = std::move(provider)](NodeId v, BoardSnapshot& out) {
+    out = p(v);
+  };
+}
+
 void DurableStore::persist(NodeId v) {
-  sim::Encoded e = encode_board(provider_(v));
-  ++writes_;
-  bits_written_ += e.bits;
-  static thread_local obs::CounterHandle writes("recovery.snapshot_writes");
-  writes.add();
-  static thread_local obs::CounterHandle bits("recovery.snapshot_bits");
-  bits.add(e.bits);
-  if (net_ != nullptr) net_->charge(sim::Message::app_payload(e.bits), 1);
+  provider_(v, scratch_);
   if (v >= slots_.size()) {
     slots_.resize(v + 1);
     present_.resize(v + 1, false);
   }
-  slots_[v] = std::move(e);
+  sim::Encoded& slot = slots_[v];
+  slot = encode_board(scratch_, std::move(slot));
   present_[v] = true;
+  ++writes_;
+  bits_written_ += slot.bits;
+  static thread_local obs::CounterHandle writes("recovery.snapshot_writes");
+  writes.add();
+  static thread_local obs::CounterHandle bits("recovery.snapshot_bits");
+  bits.add(slot.bits);
+  if (net_ != nullptr) net_->charge(sim::Message::app_payload(slot.bits), 1);
 }
 
 void DurableStore::erase(NodeId v) {

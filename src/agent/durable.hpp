@@ -78,6 +78,9 @@ struct BoardSnapshot {
 /// representable snapshot (property-tested); decode validates version and
 /// exact consumption.
 [[nodiscard]] sim::Encoded encode_board(const BoardSnapshot& b);
+/// Same, into `reuse`'s byte buffer (cleared, capacity kept).
+[[nodiscard]] sim::Encoded encode_board(const BoardSnapshot& b,
+                                        sim::Encoded&& reuse);
 [[nodiscard]] BoardSnapshot decode_board(const sim::Encoded& e);
 /// Exact encoded size in bits without materializing bytes (BitCounter).
 [[nodiscard]] std::uint64_t board_snapshot_bits(const BoardSnapshot& b);
@@ -102,17 +105,24 @@ struct BoardSnapshot {
 ///
 /// The store pulls state through a provider callback (the controller
 /// assembles the BoardSnapshot from its whiteboard + agent table), so the
-/// whiteboard layer stays ignorant of agent internals.  Every persist()
-/// bumps recovery.snapshot_writes / recovery.snapshot_bits; when a network
-/// is attached via set_charge_network, the measured size is also charged
-/// as metered application traffic (§2.2) so persistence cost appears in
-/// the message accounting — off by default, because charging changes
-/// NetStats and existing fault-free runs must stay byte-identical.
+/// whiteboard layer stays ignorant of agent internals.  The provider fills
+/// one scratch snapshot the store reuses, and persist() encodes it into the
+/// node's existing slot, so a warm store journals without allocating.
+/// Every persist() bumps recovery.snapshot_writes / recovery.snapshot_bits;
+/// when a network is attached via set_charge_network, the measured size is
+/// also charged as metered application traffic (§2.2) so persistence cost
+/// appears in the message accounting — off by default, because charging
+/// changes NetStats and existing fault-free runs must stay byte-identical.
 class DurableStore {
  public:
-  using Provider = std::function<BoardSnapshot(NodeId)>;
+  /// Fills the snapshot (left as the previous persist wrote it) with the
+  /// state of a node.
+  using Provider = std::function<void(NodeId, BoardSnapshot&)>;
 
   explicit DurableStore(Provider provider);
+  /// A provider that returns a fresh snapshot per call (its allocations
+  /// are its own).
+  explicit DurableStore(std::function<BoardSnapshot(NodeId)> provider);
 
   /// Meter persists through `net` as kApp traffic (nullptr detaches).
   void set_charge_network(sim::Network* net) { net_ = net; }
@@ -132,6 +142,7 @@ class DurableStore {
 
  private:
   Provider provider_;
+  BoardSnapshot scratch_;  ///< the provider's output, reused every persist
   sim::Network* net_ = nullptr;
   std::vector<sim::Encoded> slots_;  // dense by NodeId; empty slot = absent
   std::vector<bool> present_;

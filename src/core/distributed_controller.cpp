@@ -48,7 +48,9 @@ DistributedController::DistributedController(sim::Network& net,
   });
   if (options_.durability == agent::Durability::kDurable) {
     durable_ = std::make_unique<agent::DurableStore>(
-        [this](NodeId v) { return snapshot_board(v); });
+        [this](NodeId v, agent::BoardSnapshot& out) {
+          snapshot_board(v, out);
+        });
     if (options_.meter_persistence) durable_->set_charge_network(&net_);
     boards_.set_observer([this](NodeId v) { durable_->persist(v); });
   }
@@ -843,7 +845,9 @@ void DistributedController::on_restart(NodeId v) {
   // fidelity and dirty-tracking completeness — a missed mark_dirty surfaces
   // here as a loud divergence, not as silent corruption.
   const agent::BoardSnapshot decoded = durable_->restore(v);
-  DYNCON_INVARIANT(decoded == snapshot_board(v),
+  agent::BoardSnapshot live;
+  snapshot_board(v, live);
+  DYNCON_INVARIANT(decoded == live,
                    "durable journal diverged from the live whiteboard");
   agent::WhiteboardManager::Queue q;
   for (const agent::ParkedAgent& p : decoded.queue) {
@@ -935,14 +939,14 @@ void DistributedController::kill_agent(AgentId id) {
   finish(a);
 }
 
-agent::BoardSnapshot DistributedController::snapshot_board(NodeId v) const {
-  agent::BoardSnapshot b;
+void DistributedController::snapshot_board(NodeId v,
+                                           agent::BoardSnapshot& b) const {
   b.locked = boards_.locked(v);
   b.locked_by = boards_.locked_by(v);
   b.down_child = boards_.down_child(v);
   b.flooded = boards_.flooded(v);
   const agent::WhiteboardManager::Queue& wq = boards_.queue(v);
-  b.queue.reserve(wq.size());
+  b.queue.clear();
   for (const auto& w : wq) {
     const Agent* ap = agents_.find(w.agent);
     DYNCON_INVARIANT(ap != nullptr, "parked agent not in agent table");
@@ -957,7 +961,6 @@ agent::BoardSnapshot DistributedController::snapshot_board(NodeId v) const {
     p.req_subject = a.request.subject;
     b.queue.push_back(p);
   }
-  return b;
 }
 
 // ---- accounting -----------------------------------------------------------------

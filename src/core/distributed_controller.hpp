@@ -343,8 +343,9 @@ class DistributedController : public sim::CrashListener {
   /// verdict (granted stays granted; anything earlier becomes a
   /// crash-failed rejection).
   void kill_agent(agent::AgentId id);
-  /// Assemble the durable snapshot of `v` (board + parked-agent state).
-  [[nodiscard]] agent::BoardSnapshot snapshot_board(NodeId v) const;
+  /// Assemble the durable snapshot of `v` (board + parked-agent state)
+  /// into `out`, reusing its queue's capacity.
+  void snapshot_board(NodeId v, agent::BoardSnapshot& out) const;
   [[nodiscard]] bool moot(const RequestSpec& spec) const;
   [[nodiscard]] sim::Message hop_message(const Agent& a) const;
   void hop_up(Agent& a);

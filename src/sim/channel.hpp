@@ -32,11 +32,20 @@
 // retransmitted agent hop is agent traffic, at its true wrapped size), so
 // the per-kind NetStats decomposition exp9/exp13 report stays honest under
 // faults; only acks appear under the kChannel kind.
+//
+// Layout (allocation-free once warm): each directed link is looked up once
+// per logical send, and its stable address rides the frame, timer and ack
+// continuations.  A link's unacked frames are exactly the sequence window
+// [acked, next_seq) — acks are cumulative — kept as a power-of-two ring of
+// indices into one channel-wide slab of pending frames.  Slab slots recycle
+// through a free list, and each keeps its frame's payload buffer, into
+// which the next inner message is encoded in place.
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "sim/network.hpp"
 
@@ -86,35 +95,46 @@ class ReliableChannel {
   [[nodiscard]] std::size_t in_flight() const;
 
  private:
+  /// One unacked data frame: a slab slot, reused once its ack lands.
   struct Pending {
-    Message frame;             ///< the kChannel data frame, for retransmits
-    Network::Deliver deliver;  ///< consumed when the frame is released
+    Message frame{ChannelMsg{}};  ///< the kChannel data frame, for retransmits
+    Network::Deliver deliver;     ///< consumed when the frame is released
     SimTime rto = 0;
     std::uint32_t retries = 0;
-    bool delivered = false;    ///< arrived at the receiver (maybe held)
-    bool released = false;     ///< deliver() has run
-    Pending(Message f, Network::Deliver d, SimTime r)
-        : frame(std::move(f)), deliver(std::move(d)), rto(r) {}
+    bool delivered = false;       ///< arrived at the receiver (maybe held)
+    bool released = false;        ///< deliver() has run
   };
   /// Per directed (from, to) link: sender and receiver ends of the ARQ
   /// state live side by side because the simulator plays both parties.
   struct Link {
+    NodeId from = 0;
+    NodeId to = 0;
     std::uint64_t next_seq = 0;   ///< sender: next sequence to assign
+    std::uint64_t acked = 0;      ///< sender: every lower seq is acked
     std::uint64_t recv_next = 0;  ///< receiver: next sequence to release
-    std::map<std::uint64_t, Pending> pending;
+    /// Slab slot of each seq in [acked, next_seq), at seq & (size - 1).
+    std::vector<std::uint32_t> window;
   };
-  using LinkKey = std::pair<NodeId, NodeId>;
+  struct LinkHash {
+    std::size_t operator()(const std::pair<NodeId, NodeId>& k) const;
+  };
 
-  void transmit(NodeId from, NodeId to, std::uint64_t seq);
-  void arm_timer(NodeId from, NodeId to, std::uint64_t seq);
-  void on_frame(NodeId from, NodeId to, std::uint64_t seq);
+  /// The pending frame of `seq` on `link`, or nullptr once it is acked.
+  [[nodiscard]] Pending* find(Link& link, std::uint64_t seq);
+  void transmit(Link& link, std::uint64_t seq);
+  void arm_timer(Link& link, std::uint64_t seq);
+  void on_timeout(Link& link, std::uint64_t seq);
+  void on_frame(Link& link, std::uint64_t seq);
   void release_in_order(Link& link);
-  void send_ack(NodeId from, NodeId to, Link& link);
-  void on_ack(NodeId from, NodeId to, std::uint64_t upto);
+  void send_ack(Link& link);
+  void on_ack(Link& link, std::uint64_t upto);
 
   Network& net_;
   ChannelConfig cfg_;
-  std::map<LinkKey, Link> links_;
+  /// Node-based, so a Link's address is stable for the channel's lifetime.
+  std::unordered_map<std::pair<NodeId, NodeId>, Link, LinkHash> links_;
+  std::vector<Pending> slab_;
+  std::vector<std::uint32_t> free_;  ///< recycled slab slots
   ChannelStats stats_;
 };
 

@@ -157,8 +157,8 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
   // kind (one POD comparison), a miss runs the size-only BitCounter pass —
   // the same body-writer as encode(), so the charged size is still
   // *measured*, just without materializing the byte buffer nobody reads.
-  // (The ARQ channel still builds real frames: channel_data() embeds the
-  // cached inner encoding.)
+  // (The ARQ channel still builds real frames, encoding each inner message
+  // into its pending slot's retained payload buffer.)
   const std::uint64_t bits = cache_.measured_bits(msg);
 #endif
   // A channel data frame is charged under the kind of the message it wraps

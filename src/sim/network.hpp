@@ -301,8 +301,7 @@ class Network {
   FaultStats fault_stats_;
   BatchStats batch_stats_;
   /// Per-kind encode cache: measured sizes for the release transmit/charge
-  /// paths (supersedes the PR-4 charge memo), full bytes for the channel's
-  /// inner-payload embedding.
+  /// paths (supersedes the PR-4 charge memo).
   EncodeCache cache_;
   std::vector<BatchSlot> batch_slots_;
   std::vector<std::uint32_t> batch_free_;  ///< recycled slot indices

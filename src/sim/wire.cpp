@@ -1,6 +1,8 @@
 #include "sim/wire.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <ostream>
 #include <sstream>
 
@@ -52,8 +54,29 @@ void BitWriter::put_bits(std::uint64_t value, std::uint32_t width) {
   DYNCON_REQUIRE(width <= 64, "bit-field width exceeds 64");
   DYNCON_REQUIRE(width == 64 || value < (std::uint64_t{1} << width),
                  "value does not fit the declared bit-field width");
-  for (std::uint32_t i = width; i-- > 0;) {
-    put_bit((value >> i) & 1u);
+  append(value, width);
+}
+
+void BitWriter::append(std::uint64_t value, std::uint32_t width) {
+  std::vector<std::uint8_t>& bytes = out_.bytes;
+  const auto used = static_cast<std::uint32_t>(out_.bits % 8);
+  out_.bits += width;
+  if (used != 0) {
+    // Top up the partial last byte: its low 8 - used bits are still free.
+    const std::uint32_t room = 8 - used;
+    if (width <= room) {
+      bytes.back() |= static_cast<std::uint8_t>(value << (room - width));
+      return;
+    }
+    width -= room;
+    bytes.back() |= static_cast<std::uint8_t>(value >> width);
+  }
+  // The casts drop the bits above each byte, which are already written.
+  for (; width >= 8; width -= 8) {
+    bytes.push_back(static_cast<std::uint8_t>(value >> (width - 8)));
+  }
+  if (width != 0) {
+    bytes.push_back(static_cast<std::uint8_t>(value << (8 - width)));
   }
 }
 
@@ -61,36 +84,46 @@ void BitWriter::put_gamma(std::uint64_t v) {
   DYNCON_REQUIRE(v < (std::uint64_t{1} << 62), "gamma field overflow");
   const std::uint64_t n = v + 1;
   const std::uint32_t len = floor_log2(n);
-  for (std::uint32_t i = 0; i < len; ++i) put_bit(false);
-  put_bits(n, len + 1);
+  // len zeros, then the len + 1 bits of n: one field while that fits 64.
+  if (len <= 31) {
+    append(n, 2 * len + 1);
+    return;
+  }
+  pad_zeros(len);
+  append(n, len + 1);
 }
 
 void BitWriter::put_varint(std::uint64_t v) {
-  // High 7-bit groups first; every group but the last sets the
-  // continuation bit.
+  // High 7-bit groups first, one byte each; every group but the last sets
+  // the continuation bit.
   std::uint32_t groups = 1;
   for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) ++groups;
   for (std::uint32_t g = groups; g-- > 0;) {
     const std::uint64_t chunk = (v >> (7 * g)) & 0x7Fu;
-    put_bit(g != 0);  // continuation
-    put_bits(chunk, 7);
+    append((g != 0 ? 0x80u : 0u) | chunk, 8);
   }
 }
 
 void BitWriter::pad_zeros(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) put_bit(false);
+  // resize() zero-fills the new bytes; the free bits of the partial last
+  // byte are zero already.
+  out_.bits += n;
+  out_.bytes.resize((out_.bits + 7) / 8);
 }
 
 void BitWriter::put_encoded(const Encoded& src) {
-  BitReader r(src);
-  std::uint64_t left = src.bits;
-  while (left >= 64) {
-    put_bits(r.get_bits(64), 64);
-    left -= 64;
+  DYNCON_REQUIRE(src.bits <= 8 * src.bytes.size(),
+                 "malformed encoding: fewer bytes than bits");
+  const std::uint64_t whole = src.bits / 8;
+  if (out_.bits % 8 == 0) {
+    out_.bytes.insert(out_.bytes.end(), src.bytes.begin(),
+                      src.bytes.begin() + static_cast<std::ptrdiff_t>(whole));
+    out_.bits += 8 * whole;
+  } else {
+    for (std::uint64_t i = 0; i < whole; ++i) append(src.bytes[i], 8);
   }
-  if (left > 0) {
-    put_bits(r.get_bits(static_cast<std::uint32_t>(left)),
-             static_cast<std::uint32_t>(left));
+  if (const auto tail = static_cast<std::uint32_t>(src.bits % 8); tail != 0) {
+    append(src.bytes[whole] >> (8 - tail), tail);
   }
 }
 
@@ -106,33 +139,53 @@ bool BitReader::get_bit() {
 
 std::uint64_t BitReader::get_bits(std::uint32_t width) {
   DYNCON_REQUIRE(width <= 64, "bit-field width exceeds 64");
-  std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < width; ++i) {
-    v = (v << 1) | static_cast<std::uint64_t>(get_bit());
-  }
+  DYNCON_REQUIRE(width <= remaining(),
+                 "wire underrun: read past end of message");
+  if (width == 0) return 0;
+  const std::uint8_t* p = enc_.bytes.data() + pos_ / 8;
+  const auto used = static_cast<std::uint32_t>(pos_ % 8);
+  pos_ += width;
+  // The first byte contributes its bits from the read position down.
+  const std::uint32_t first = 8 - used;
+  std::uint64_t v = *p++ & (0xFFu >> used);
+  if (width <= first) return v >> (first - width);
+  width -= first;
+  for (; width >= 8; width -= 8) v = (v << 8) | *p++;
+  if (width != 0) v = (v << width) | (*p >> (8 - width));
   return v;
 }
 
 std::uint64_t BitReader::get_gamma() {
+  // Count the zero prefix a byte at a time, up to the terminating one.
   std::uint32_t len = 0;
-  while (!get_bit()) {
-    ++len;
+  for (;;) {
+    DYNCON_REQUIRE(pos_ < enc_.bits,
+                   "wire underrun: read past end of message");
+    const auto used = static_cast<std::uint32_t>(pos_ % 8);
+    const auto avail = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(8 - used, enc_.bits - pos_));
+    const auto window = static_cast<std::uint8_t>(enc_.bytes[pos_ / 8] << used);
+    const auto zeros = static_cast<std::uint32_t>(std::countl_zero(window));
+    const bool found = zeros < avail;
+    const std::uint32_t run = found ? zeros : avail;
+    len += run;
+    pos_ += run;
     DYNCON_REQUIRE(len < 63, "malformed gamma code: runaway zero prefix");
+    if (found) break;
   }
-  std::uint64_t n = 1;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    n = (n << 1) | static_cast<std::uint64_t>(get_bit());
-  }
-  return n - 1;
+  return get_bits(len + 1) - 1;  // the one bit and the len bits below it
 }
 
 std::uint64_t BitReader::get_varint() {
   std::uint64_t v = 0;
   for (std::uint32_t groups = 0;; ++groups) {
     DYNCON_REQUIRE(groups < 10, "malformed varint: too many groups");
-    const bool more = get_bit();
-    v = (v << 7) | get_bits(7);
-    if (!more) return v;
+    const std::uint64_t group = get_bits(8);
+    // Shifting in another group must not push read bits out of the top:
+    // the leading group of a 10-group varint holds bit 63 alone.
+    DYNCON_REQUIRE(v >> 57 == 0, "malformed varint: value exceeds 64 bits");
+    v = (v << 7) | (group & 0x7Fu);
+    if ((group & 0x80u) == 0) return v;
   }
 }
 
@@ -249,19 +302,19 @@ Message Message::app_payload(std::uint64_t opaque_bits) {
 }
 
 Message Message::channel_data(std::uint64_t seq, const Message& inner) {
-  DYNCON_REQUIRE(inner.kind() != MsgKind::kChannel,
-                 "the reliable channel never nests frames");
-  return Message(ChannelMsg{ChannelTopic::kData, seq, inner.encode()});
+  Message frame(ChannelMsg{});
+  frame.assign_channel_data(seq, inner);
+  return frame;
 }
 
-Message Message::channel_data(std::uint64_t seq, Encoded inner) {
-  ChannelMsg m{ChannelTopic::kData, seq, std::move(inner)};
-  const MsgKind k = m.inner_kind();  // also validates the leading tag
-  DYNCON_REQUIRE(k != MsgKind::kChannel,
+void Message::assign_channel_data(std::uint64_t seq, const Message& inner) {
+  DYNCON_REQUIRE(inner.kind() != MsgKind::kChannel,
                  "the reliable channel never nests frames");
-  DYNCON_REQUIRE(k != MsgKind::kBatch,
-                 "a channel frame wraps one protocol message, not a batch");
-  return Message(std::move(m));
+  auto* frame = std::get_if<ChannelMsg>(&body_);
+  if (frame == nullptr) frame = &body_.emplace<ChannelMsg>();
+  frame->topic = ChannelTopic::kData;
+  frame->seq = seq;
+  frame->payload = inner.encode(std::move(frame->payload));
 }
 
 Message Message::channel_ack(std::uint64_t seq) {
@@ -281,6 +334,12 @@ Encoded Message::encode() const {
   // The counting pass is cheap (no buffer work), so spend it to size the
   // output exactly — the byte vector is allocated once, never regrown.
   BitWriter w(encoded_bits());
+  write_message(w, body_);
+  return w.finish();
+}
+
+Encoded Message::encode(Encoded&& reuse) const {
+  BitWriter w(std::move(reuse));
   write_message(w, body_);
   return w.finish();
 }
@@ -339,7 +398,7 @@ Message Message::decode(const Encoded& e) {
         const std::uint64_t payload_bits = r.get_gamma();
         DYNCON_REQUIRE(payload_bits <= r.remaining(),
                        "malformed channel frame: truncated payload");
-        BitWriter pw;
+        BitWriter pw(payload_bits);
         for (std::uint64_t left = payload_bits; left > 0;) {
           const std::uint32_t chunk =
               left >= 64 ? 64 : static_cast<std::uint32_t>(left);
@@ -348,7 +407,7 @@ Message Message::decode(const Encoded& e) {
         }
         m.payload = pw.finish();
       }
-      body = m;
+      body = std::move(m);
       break;
     }
     case MsgKind::kBatch: {
@@ -363,7 +422,7 @@ Message Message::decode(const Encoded& e) {
                        "malformed batch frame: truncated payload");
         DYNCON_REQUIRE(payload_bits >= kTagBits,
                        "malformed batch frame: payload too short for a tag");
-        BitWriter pw;
+        BitWriter pw(payload_bits);
         for (std::uint64_t left = payload_bits; left > 0;) {
           const std::uint32_t chunk =
               left >= 64 ? 64 : static_cast<std::uint32_t>(left);

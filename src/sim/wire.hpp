@@ -94,7 +94,9 @@ inline constexpr std::uint32_t kMsgTagBits = 3;
   return 8 * groups;
 }
 
-/// Append-only bit stream writer (MSB-first within each byte).
+/// Append-only bit stream writer (MSB-first within each byte).  Every field
+/// is written a byte at a time: it tops up the partial last byte, appends
+/// whole bytes, then opens a new partial byte.
 class BitWriter {
  public:
   BitWriter() = default;
@@ -128,6 +130,10 @@ class BitWriter {
   [[nodiscard]] Encoded finish() { return std::move(out_); }
 
  private:
+  /// put_bits without the contract checks: requires width <= 64 and
+  /// value < 2^width.
+  void append(std::uint64_t value, std::uint32_t width);
+
   Encoded out_;
 };
 
@@ -160,10 +166,15 @@ class BitCounter {
   std::uint64_t bits_ = 0;
 };
 
-/// Bounds-checked reader over an `Encoded` buffer.
+/// Bounds-checked reader over an `Encoded` buffer.  A field is checked
+/// against the remaining bits as a whole before any of it is read, then
+/// read a byte at a time.
 class BitReader {
  public:
-  explicit BitReader(const Encoded& e) : enc_(e) {}
+  explicit BitReader(const Encoded& e) : enc_(e) {
+    DYNCON_REQUIRE(e.bits <= 8 * e.bytes.size(),
+                   "malformed encoding: fewer bytes than bits");
+  }
 
   [[nodiscard]] bool get_bit();
   [[nodiscard]] std::uint64_t get_bits(std::uint32_t width);
@@ -295,10 +306,6 @@ class Message {
   /// A reliable-channel data frame wrapping `inner` (which must not itself
   /// be a channel frame: the channel never nests).
   static Message channel_data(std::uint64_t seq, const Message& inner);
-  /// Same, from an already-encoded inner message — the channel feeds it the
-  /// network's per-kind encode cache so a run of same-shaped sends reuses
-  /// one encoding instead of re-running the encoder per frame.
-  static Message channel_data(std::uint64_t seq, Encoded inner);
   /// A reliable-channel cumulative ack: every frame with sequence < `seq`
   /// on this link has been delivered.
   static Message channel_ack(std::uint64_t seq);
@@ -315,8 +322,16 @@ class Message {
     return std::get<T>(body_);
   }
 
+  /// Turns this message into channel_data(seq, inner), encoding `inner`
+  /// into the payload buffer this message already holds when it is a
+  /// channel frame: a frame that is rewrapped again and again (the ARQ
+  /// channel's pending slots) stops allocating once its buffer fits.
+  void assign_channel_data(std::uint64_t seq, const Message& inner);
+
   /// Bit-level encoding; `Encoded::bits` is the measured message size.
   [[nodiscard]] Encoded encode() const;
+  /// Same, into `reuse`'s byte buffer (cleared, capacity kept).
+  [[nodiscard]] Encoded encode(Encoded&& reuse) const;
   /// Inverse of encode(); throws ContractError on malformed input
   /// (bad tag, truncated fields, trailing bits).
   [[nodiscard]] static Message decode(const Encoded& e);
@@ -350,10 +365,10 @@ class Message {
 
 // ---- per-kind encode cache --------------------------------------------------
 
-/// Per-kind memo of the last message encoded, extending the PR-4 charge memo
-/// (kind -> (prototype, bits)) to the full encoded bytes.  Protocol traffic
-/// is dominated by runs of near-identical small messages (an agent re-sends
-/// the same hop shape along a path; rejects and acks repeat verbatim), so a
+/// Per-kind memo of the last message sized, grown out of the PR-4 charge
+/// memo (kind -> (prototype, bits)).  Protocol traffic is dominated by
+/// runs of near-identical small messages (an agent re-sends the same hop
+/// shape along a path; rejects and acks repeat verbatim), so a
 /// one-entry-per-kind cache already captures most of the redundancy while
 /// costing one POD comparison per lookup.
 ///
@@ -361,12 +376,8 @@ class Message {
 /// payload vectors, so their equality test would cost as much as the encode
 /// they are meant to skip (and their seq/count fields change every frame).
 ///
-/// Two tiers, so the zero-alloc release hot path stays zero-alloc:
-///   * measured_bits() caches (prototype -> bits); a miss runs the size-only
-///     BitCounter pass (no allocation) and refreshes the slot.
-///   * encoded() caches the full byte buffer; a miss materializes it once,
-///     then repeat senders (the ARQ channel re-wrapping the same inner
-///     message) get the bytes back without re-encoding.
+/// The cache holds sizes only (prototype -> bits); a miss runs the
+/// size-only BitCounter pass (no allocation) and refreshes the slot.
 class EncodeCache {
  public:
   [[nodiscard]] static constexpr bool cacheable(MsgKind k) {
@@ -394,26 +405,7 @@ class EncodeCache {
     }
     slot.key = msg;
     slot.bits = msg.encoded_bits();
-    slot.enc.reset();  // bytes of the old prototype are stale
     return slot.bits;
-  }
-
-  /// Full encoded bytes of `msg` (== msg.encode()); returns the cached
-  /// buffer on a hit.  The reference is valid until the next cache call for
-  /// the same kind.
-  [[nodiscard]] const Encoded& encoded(const Message& msg) {
-    const MsgKind k = msg.kind();
-    DYNCON_REQUIRE(cacheable(k), "EncodeCache::encoded needs a POD-bodied kind");
-    Slot& slot = slots_[static_cast<std::size_t>(k)];
-    ++lookups_;
-    if (slot.key && *slot.key == msg && slot.enc) {
-      ++hits_;
-      return *slot.enc;
-    }
-    slot.key = msg;
-    slot.enc = msg.encode();
-    slot.bits = slot.enc->bits;
-    return *slot.enc;
   }
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
@@ -422,8 +414,7 @@ class EncodeCache {
  private:
   struct Slot {
     std::optional<Message> key;   ///< last prototype of this kind
-    std::uint64_t bits = 0;       ///< its measured size (always fresh)
-    std::optional<Encoded> enc;   ///< its bytes (filled lazily by encoded())
+    std::uint64_t bits = 0;       ///< its measured size
   };
   std::array<Slot, static_cast<std::size_t>(MsgKind::kKindCount__)> slots_;
   std::uint64_t hits_ = 0;

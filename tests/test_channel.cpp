@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/channel.hpp"
+#include "sim/crash.hpp"
 #include "sim/delay.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
@@ -145,6 +146,52 @@ TEST(Channel, ManyLinksManyMessagesAllDeliveredExactlyOnce) {
   }
   s.queue.run();
   for (int i = 0; i < 64; ++i) EXPECT_EQ(hits[i], 1) << "message " << i;
+  EXPECT_EQ(s.net.channel()->in_flight(), 0u);
+}
+
+TEST(Channel, BurstIntoACrashWindowOutgrowsTheWindowRing) {
+  // A burst far larger than a link's initial window ring, sent as the
+  // receiver goes down: nothing is acked until it is back, so the ring
+  // must double several times — with the burst's seqs starting mid-ring,
+  // behind frames that were already acked — while keeping every frame.
+  // Afterwards the link must release in FIFO order, exactly once, and
+  // drain.
+  ChanFixture s;
+  const CrashSchedule crashes(Rng(11), /*node_fraction=*/1.0,
+                              /*period=*/1024, /*down_len=*/256);
+  SimTime down_at = 0;
+  for (SimTime t : crashes.windows(1, 1u << 16)) {
+    if (!crashes.down(0, t) && !crashes.down(0, t + 1)) {
+      down_at = t;
+      break;
+    }
+  }
+  ASSERT_GT(down_at, 0u) << "no receiver down window with the sender up";
+  s.net.set_fault_policy(make_crash_stack(
+      nullptr, std::make_shared<const CrashSchedule>(crashes)));
+  s.net.enable_reliability();
+  constexpr int kAhead = 5;
+  constexpr int kBurst = 100;
+  std::vector<int> order;
+  auto send = [&s, &order](int i) {
+    s.net.send(0, 1, probe(static_cast<std::uint64_t>(i)),
+               [&order, i] { order.push_back(i); });
+  };
+  for (int i = 0; i < kAhead; ++i) send(i);
+  std::size_t peak = 0;
+  s.queue.schedule_at(down_at, [&] {
+    ASSERT_EQ(s.net.channel()->in_flight(), 0u) << "the early frames acked";
+    for (int i = kAhead; i < kAhead + kBurst; ++i) send(i);
+    peak = s.net.channel()->in_flight();
+  });
+  s.queue.run();
+  EXPECT_EQ(peak, static_cast<std::size_t>(kBurst));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kAhead + kBurst));
+  for (int i = 0; i < kAhead + kBurst; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_GE(s.net.channel()->stats().retransmits,
+            static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(s.net.channel()->in_flight(), 0u);
 }
 

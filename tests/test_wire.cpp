@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -94,6 +96,241 @@ TEST(BitStream, MalformedGammaPrefixThrows) {
   const Encoded e = w.finish();
   BitReader r(e);
   EXPECT_THROW((void)r.get_gamma(), ContractError);
+}
+
+/// Ten varint groups: `lead` (with its continuation bit), eight zero
+/// groups, and a last zero group.
+void put_ten_group_varint(BitWriter& w, std::uint64_t lead) {
+  w.put_bits(0x80 | lead, 8);
+  for (int g = 0; g < 8; ++g) w.put_bits(0x80, 8);
+  w.put_bits(0x00, 8);
+}
+
+TEST(BitStream, VarintRejectsValuesBeyond64Bits) {
+  // Ten groups carry 70 bits, so the leading group of a 10-group varint
+  // may hold bit 63 alone: 1 is its largest legal value.
+  BitWriter ok;
+  put_ten_group_varint(ok, 1);
+  const Encoded top = ok.finish();
+  BitReader r(top);
+  EXPECT_EQ(r.get_varint(), std::uint64_t{1} << 63);
+  for (std::uint64_t lead : {2u, 3u, 0x40u, 0x7Fu}) {
+    BitWriter w;
+    put_ten_group_varint(w, lead);
+    const Encoded e = w.finish();
+    BitReader bad(e);
+    EXPECT_THROW((void)bad.get_varint(), ContractError) << "lead=" << lead;
+  }
+  // The same overflow inside a message: an agent hop whose id varint
+  // leads with 0x7F once decoded as agent 2^63.
+  BitWriter m;
+  m.put_bits(static_cast<std::uint64_t>(MsgKind::kAgent), kMsgTagBits);
+  put_ten_group_varint(m, 0x7F);
+  m.put_gamma(1);
+  m.put_gamma(2);
+  m.put_gamma(0);
+  m.put_bits(1, 3);
+  m.put_bit(false);
+  EXPECT_THROW((void)Message::decode(m.finish()), ContractError);
+}
+
+TEST(BitStream, ReaderRejectsBitsBeyondItsBytes) {
+  Encoded e;
+  e.bytes = {0xFF};
+  e.bits = 9;
+  EXPECT_THROW(BitReader r(e), ContractError);
+  BitWriter w;
+  EXPECT_THROW(w.put_encoded(e), ContractError);
+}
+
+// ---- byte-wise codec against a bit-at-a-time reference ----------------------
+
+/// The one-bit-per-call writer: every field reduces to put_bit, the
+/// definition of the MSB-first stream the byte-wise BitWriter must match.
+class RefWriter {
+ public:
+  void put_bit(bool bit) {
+    if (out_.bits % 8 == 0) out_.bytes.push_back(0);
+    if (bit) {
+      out_.bytes.back() |= static_cast<std::uint8_t>(0x80u >> (out_.bits % 8));
+    }
+    ++out_.bits;
+  }
+  void put_bits(std::uint64_t v, std::uint32_t width) {
+    for (std::uint32_t i = width; i-- > 0;) put_bit((v >> i) & 1u);
+  }
+  void put_gamma(std::uint64_t v) {
+    const std::uint64_t n = v + 1;
+    const auto len = static_cast<std::uint32_t>(std::bit_width(n) - 1);
+    for (std::uint32_t i = 0; i < len; ++i) put_bit(false);
+    put_bits(n, len + 1);
+  }
+  void put_varint(std::uint64_t v) {
+    std::uint32_t groups = 1;
+    for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) ++groups;
+    for (std::uint32_t g = groups; g-- > 0;) {
+      put_bit(g != 0);
+      put_bits((v >> (7 * g)) & 0x7Fu, 7);
+    }
+  }
+  void pad_zeros(std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) put_bit(false);
+  }
+  void put_encoded(const Encoded& src) {
+    for (std::uint64_t i = 0; i < src.bits; ++i) {
+      put_bit((src.bytes[i / 8] >> (7 - i % 8)) & 1u);
+    }
+  }
+  [[nodiscard]] const Encoded& out() const { return out_; }
+
+ private:
+  Encoded out_;
+};
+
+/// One writer call, recorded so the stream can be read back.
+struct CodecOp {
+  enum Kind { kBit, kBits, kGamma, kVarint, kPad, kEncoded } kind = kBit;
+  std::uint64_t value = 0;  ///< the bit/field/gamma/varint value, pad length
+  std::uint32_t width = 0;  ///< kBits only
+  Encoded payload;          ///< kEncoded only
+};
+
+CodecOp random_op(Rng& rng) {
+  CodecOp op;
+  op.kind = static_cast<CodecOp::Kind>(rng.uniform(0, 5));
+  switch (op.kind) {
+    case CodecOp::kBit:
+      op.value = rng.uniform(0, 1);
+      break;
+    case CodecOp::kBits:
+      op.width = static_cast<std::uint32_t>(rng.uniform(0, 64));
+      op.value = op.width == 0 ? 0 : rng.next() >> (64 - op.width);
+      break;
+    case CodecOp::kGamma:  // up to 2^62 - 1, the codec's gamma limit
+      op.value = rng.next() >> rng.uniform(2, 63);
+      break;
+    case CodecOp::kVarint:  // up to 2^64 - 1
+      op.value = rng.next() >> rng.uniform(0, 63);
+      break;
+    case CodecOp::kPad:
+      op.value = rng.uniform(0, 80);
+      break;
+    case CodecOp::kEncoded: {
+      RefWriter src;
+      for (std::uint64_t n = rng.uniform(0, 100); n > 0; --n) {
+        src.put_bit(rng.chance(0.5));
+      }
+      op.payload = src.out();
+      break;
+    }
+  }
+  return op;
+}
+
+template <class Writer>
+void apply(Writer& w, const CodecOp& op) {
+  switch (op.kind) {
+    case CodecOp::kBit:
+      w.put_bit(op.value != 0);
+      break;
+    case CodecOp::kBits:
+      w.put_bits(op.value, op.width);
+      break;
+    case CodecOp::kGamma:
+      w.put_gamma(op.value);
+      break;
+    case CodecOp::kVarint:
+      w.put_varint(op.value);
+      break;
+    case CodecOp::kPad:
+      w.pad_zeros(op.value);
+      break;
+    case CodecOp::kEncoded:
+      w.put_encoded(op.payload);
+      break;
+  }
+}
+
+/// Reads `bits` bits in fields of at most 64 and compares them with `src`.
+void expect_span(BitReader& r, const Encoded* src, std::uint64_t bits) {
+  std::optional<BitReader> s;
+  if (src != nullptr) s.emplace(*src);
+  for (std::uint64_t left = bits; left > 0;) {
+    const auto chunk =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(left, 64));
+    const std::uint64_t got = r.get_bits(chunk);
+    EXPECT_EQ(got, s ? s->get_bits(chunk) : 0u);
+    left -= chunk;
+  }
+}
+
+void read_back(BitReader& r, const std::vector<CodecOp>& ops) {
+  for (const CodecOp& op : ops) {
+    switch (op.kind) {
+      case CodecOp::kBit:
+        EXPECT_EQ(r.get_bit(), op.value != 0);
+        break;
+      case CodecOp::kBits:
+        EXPECT_EQ(r.get_bits(op.width), op.value);
+        break;
+      case CodecOp::kGamma:
+        EXPECT_EQ(r.get_gamma(), op.value);
+        break;
+      case CodecOp::kVarint:
+        EXPECT_EQ(r.get_varint(), op.value);
+        break;
+      case CodecOp::kPad:
+        expect_span(r, nullptr, op.value);
+        break;
+      case CodecOp::kEncoded:
+        expect_span(r, &op.payload, op.payload.bits);
+        break;
+    }
+  }
+}
+
+TEST(BitStream, ByteWiseCodecMatchesBitAtATimeReference) {
+  Rng rng(0xb17b17ULL);
+  // Each writer adopts the previous trial's buffer, as the channel's frame
+  // slots and the journal's node slots do: stale bytes past the cleared
+  // size must never leak into the new stream.
+  Encoded reuse;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::vector<CodecOp> ops(rng.uniform(1, 16));
+    for (CodecOp& op : ops) op = random_op(rng);
+    if (trial < 20) {  // the range extremes, at varied alignments
+      ops.push_back({CodecOp::kGamma, (std::uint64_t{1} << 62) - 1, 0, {}});
+      ops.push_back({CodecOp::kVarint, UINT64_MAX, 0, {}});
+      ops.push_back({CodecOp::kBits, UINT64_MAX, 64, {}});
+      ops.push_back({CodecOp::kBit, 1, 0, {}});
+    }
+    BitWriter w(std::move(reuse));
+    RefWriter ref;
+    for (const CodecOp& op : ops) {
+      apply(w, op);
+      apply(ref, op);
+    }
+    const Encoded e = w.finish();
+    ASSERT_EQ(e, ref.out()) << "trial " << trial;
+    ASSERT_EQ(e.bytes.size(), (e.bits + 7) / 8);
+    reuse = e;
+    BitReader r(e);
+    read_back(r, ops);
+    EXPECT_TRUE(r.finished()) << "trial " << trial;
+    if (HasFailure()) return;
+    // Every truncation must throw, whether the cut also drops the bytes
+    // past it or keeps them (the bits after the cut are never read).
+    if (trial % 5 != 0) continue;
+    for (std::uint64_t cut = 0; cut < e.bits; ++cut) {
+      Encoded t = e;
+      t.bits = cut;
+      if (cut % 2 == 0) t.bytes.resize((cut + 7) / 8);
+      BitReader tr(t);
+      EXPECT_THROW(read_back(tr, ops), ContractError)
+          << "trial " << trial << " cut " << cut << " of " << e.bits;
+    }
+    if (HasFailure()) return;
+  }
 }
 
 // ---- message codec ----------------------------------------------------------
