@@ -39,9 +39,6 @@
 //   --users=N           closed-loop population (default 8192)
 //   --resident-trees=N  per-shard resident budget for the sweep + memory
 //                       phase (default 0 = unlimited)
-//   --no-batch          disable exchange batching (one BatchFrame per
-//                       (shard, window) completion batch); the registry
-//                       must not care
 //   --jobs              accepted for uniformity; the forest pins workers =
 //                       shards
 
@@ -161,14 +158,12 @@ int main(int argc, char** argv) {
   const unsigned hw = util::ThreadPool::hardware_jobs();
   const unsigned max_shards =
       util::flag_count(argc, argv, "--shards", 8, /*max_value=*/64);
-  const bool batch_exchange = !util::flag_present(argc, argv, "--no-batch");
   Knobs knobs;
   knobs.trees = util::flag_u64(argc, argv, "--trees", 64);
   knobs.users = util::flag_u64(argc, argv, "--users", 8192);
   knobs.resident = util::flag_u64(argc, argv, "--resident-trees", 0);
   run.param("hw_threads", static_cast<std::uint64_t>(hw));
   run.param("max_shards", static_cast<std::uint64_t>(max_shards));
-  run.param("batch_exchange", std::uint64_t{batch_exchange ? 1u : 0u});
   run.registry().set_gauge("perf.forest.hw_threads",
                            static_cast<double>(hw));
 
@@ -188,9 +183,7 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> points;
   points.reserve(shard_counts.size());
   for (unsigned k : shard_counts) {
-    forest::ForestConfig cfg = scaling_config(k, knobs);
-    cfg.batch_exchange = batch_exchange;
-    points.push_back(run_forest(cfg));
+    points.push_back(run_forest(scaling_config(k, knobs)));
   }
 
   // Determinism gate: every point must agree with the 1-shard run on the
@@ -211,7 +204,6 @@ int main(int argc, char** argv) {
   // unlimited run byte for byte.  Lossless hibernation, or the binary dies.
   {
     forest::ForestConfig cfg = scaling_config(shard_counts.back(), knobs);
-    cfg.batch_exchange = batch_exchange;
     cfg.resident_trees = 2;
     const SweepPoint starved = run_forest(cfg);
     if (starved.registry_json != points[0].registry_json ||
@@ -280,7 +272,6 @@ int main(int argc, char** argv) {
     double eager_bytes_per_tree = 0;
     {
       forest::ForestConfig cfg = scaling_config(1, knobs);
-      cfg.batch_exchange = batch_exchange;
       cfg.eager = true;
       cfg.resident_trees = 0;  // the pre-lazy engine never evicted
       const auto t0 = Clock::now();
@@ -299,7 +290,6 @@ int main(int argc, char** argv) {
     // Lazy price: startup is an index fill; the full run then materializes
     // only what the workload touches, within the residency budget.
     forest::ForestConfig cfg = scaling_config(1, knobs);
-    cfg.batch_exchange = batch_exchange;
     const auto t0 = Clock::now();
     forest::ForestEngine engine(cfg, kSeed);
     const double lazy_secs =

@@ -542,72 +542,12 @@ void BM_ObsEmitInstalled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsEmitInstalled);
 
-// ---- batch frames (PR 9) ----------------------------------------------------
-
-std::vector<sim::Encoded> make_payload_mix(std::size_t n) {
-  std::vector<sim::Encoded> payloads;
-  payloads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (i % 3) {
-      case 0:
-        payloads.push_back(
-            sim::Message::agent_hop(i, i * 3 + 1, i * 5 + 2,
-                                    static_cast<std::uint32_t>(i % 7),
-                                    static_cast<std::uint8_t>(i % 4), i % 2)
-                .encode());
-        break;
-      case 1:
-        payloads.push_back(sim::Message::data_move(i * 11 + 1).encode());
-        break;
-      default:
-        payloads.push_back(sim::Message::reject_wave().encode());
-        break;
-    }
-  }
-  return payloads;
-}
-
-void BM_BatchFrameEncode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<sim::Encoded> payloads = make_payload_mix(n);
-  const sim::Message frame = sim::Message::batch_frame(payloads);
-  // The release network never assembles frames — it charges them with
-  // batch_frame_bits.  Pin the arithmetic to the real encoder once here.
-  std::vector<std::uint64_t> sizes;
-  for (const sim::Encoded& p : payloads) sizes.push_back(p.bits);
-  if (frame.encode().bits != sim::batch_frame_bits(sizes.data(), n)) {
-    std::fprintf(stderr,
-                 "FATAL: batch_frame_bits disagrees with Message::encode\n");
-    std::abort();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(frame.encode().bits);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BatchFrameEncode)->Arg(4)->Arg(16);
-
-void BM_BatchFrameDecode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const sim::Message frame = sim::Message::batch_frame(make_payload_mix(n));
-  const sim::Encoded enc = frame.encode();
-  if (!(sim::Message::decode(enc) == frame)) {
-    std::fprintf(stderr, "FATAL: batch frame wire round-trip mismatch\n");
-    std::abort();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::Message::decode(enc).kind());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BatchFrameDecode)->Arg(4)->Arg(16);
+// ---- same-edge coalescing ---------------------------------------------------
 
 void BM_NetworkBatchSendAllocs(benchmark::State& state) {
   // The coalesced path end to end: two same-edge sends per iteration (the
-  // second upgrades the pending plain head into a frame), one step fires
-  // both members out of the frame slot.  Slots, entry vectors, and the
+  // second upgrades the pending plain head into a batch), one step fires
+  // both members out of the batch slot.  Slots, entry vectors, and the
   // queue slab all recycle, so steady state must stay allocation-free —
   // the same contract BM_NetworkSendAllocs pins for the unbatched path.
   sim::EventQueue q;
@@ -632,8 +572,8 @@ void BM_NetworkBatchSendAllocs(benchmark::State& state) {
   const double per_op =
       ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
   state.counters["allocs_per_op"] = per_op;
-  // Debug builds legitimately allocate here (the frame round-trip check
-  // copies payloads); the release contract is zero.
+  // Debug builds legitimately allocate here (the wire round-trip check
+  // encodes every message); the release contract is zero.
   check_steady_state_allocs("Network::send coalesced/fire_batch", per_op);
 }
 BENCHMARK(BM_NetworkBatchSendAllocs);

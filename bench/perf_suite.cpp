@@ -24,7 +24,6 @@
 // fresh run against it (CI perf-smoke job).  Refresh instructions are in
 // docs/PERFORMANCE.md.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -81,46 +80,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// ---- batching knobs + frame/cache economics ---------------------------------
+// ---- batching knob ----------------------------------------------------------
 //
-// --no-batch / --batch-window=N flip the PR-9 hot-path layers everywhere at
-// once (delivery coalescing, encode cache reuse, inline grant waves).  Per-
-// message accounting is bit-identical either way — that is the acceptance
-// contract — so the registry families never move; the frame/cache economics
-// live in BatchStats/ResumeStats and surface only as the perf.batch.* report
-// family below.
+// --no-batch turns off both batching layers everywhere at once (same-edge
+// delivery coalescing and inline grant waves).  Per-message accounting is
+// bit-identical either way — that is the acceptance contract, which CI
+// checks by diffing a batched report against a --no-batch one.
 
-struct BatchKnobs {
-  bool on = true;
-  std::uint32_t window = 16;
-};
-BatchKnobs g_knobs;
-
-sim::BatchStats g_batch;
-std::uint64_t g_cache_hits = 0;
-std::uint64_t g_cache_lookups = 0;
-core::DistributedController::ResumeStats g_resume;
-
-void apply_knobs(sim::Network& net) {
-  net.set_batching(g_knobs.on);
-  net.set_batch_window(g_knobs.window);
-}
-
-/// Fold one serial phase's network economics into the run totals.  The
-/// parallel phase only *applies* the knobs: its runs execute on pool
-/// workers, and these accumulators are deliberately unsynchronized.
-void collect(const sim::Network& net) {
-  g_batch.merge(net.batch_stats());
-  g_cache_hits += net.encode_cache().hits();
-  g_cache_lookups += net.encode_cache().lookups();
-}
-
-void collect(const core::DistributedController& ctrl) {
-  const auto& rs = ctrl.resume_stats();
-  g_resume.inlined += rs.inlined;
-  g_resume.scheduled += rs.scheduled;
-  g_resume.max_chain = std::max(g_resume.max_chain, rs.max_chain);
-}
+bool g_batching = true;
 
 /// One churn-or-event proposal: 50/50 events and leaf-adds, subjects drawn
 /// from the *initial* node set (grow-only churn keeps them alive forever).
@@ -197,12 +164,12 @@ PhaseResult phase_distributed(std::uint64_t n, std::uint64_t steps,
   Rng rng(7);
   sim::EventQueue queue;
   sim::Network net(queue, sim::make_delay(sim::DelayKind::kFixed, 1));
-  apply_knobs(net);
+  net.set_batching(g_batching);
   tree::DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, n, rng);
   core::DistributedController::Options opts;
   opts.track_domains = false;
-  opts.batch_grants = g_knobs.on;
+  opts.batch_grants = g_batching;
   // Budget sized to the run (M ~ steps, W = M/5): with an effectively
   // infinite M every node ends up holding a fat permit stock and grants
   // locally without a single message — the network would go quiet after
@@ -259,8 +226,6 @@ PhaseResult phase_distributed(std::uint64_t n, std::uint64_t steps,
   r.sends = net.stats().messages;
   if (answered != steps) std::abort();  // every request must be answered
   bench::Run::note_net(net.stats());
-  collect(net);
-  collect(ctrl);
   return r;
 }
 
@@ -270,7 +235,7 @@ PhaseResult phase_faulty(std::uint64_t n, std::uint64_t steps) {
   Rng rng(19);
   sim::EventQueue queue;
   sim::Network net(queue, sim::make_delay(sim::DelayKind::kUniform, 23));
-  apply_knobs(net);
+  net.set_batching(g_batching);
   net.set_fault_policy(sim::make_fault(sim::FaultKind::kChaos, 29));
   net.enable_reliability();
   sim::Watchdog wd(queue, 2'000'000);
@@ -278,7 +243,7 @@ PhaseResult phase_faulty(std::uint64_t n, std::uint64_t steps) {
   workload::build(t, workload::Shape::kRandomAttach, n, rng);
   core::DistributedController::Options opts;
   opts.track_domains = false;
-  opts.batch_grants = g_knobs.on;
+  opts.batch_grants = g_batching;
   opts.watchdog = &wd;
   // Unlike phase B this keeps the effectively-infinite budget: under a
   // scarce budget + chaos faults the controller cannot guarantee request
@@ -316,8 +281,6 @@ PhaseResult phase_faulty(std::uint64_t n, std::uint64_t steps) {
   wd.verify_idle();
   if (answered != steps) std::abort();
   bench::Run::note_net(net.stats());
-  collect(net);
-  collect(ctrl);
   return r;
 }
 
@@ -326,7 +289,7 @@ PhaseResult phase_faulty(std::uint64_t n, std::uint64_t steps) {
 PhaseResult phase_sendloop(std::uint64_t sends) {
   sim::EventQueue queue;
   sim::Network net(queue, sim::make_delay(sim::DelayKind::kFixed, 1));
-  apply_knobs(net);
+  net.set_batching(g_batching);
   const sim::Message msg =
       sim::Message::agent_hop(12345, 17, 9, 4, 3, true);
   std::uint64_t left = sends;
@@ -353,7 +316,6 @@ PhaseResult phase_sendloop(std::uint64_t sends) {
   r.events = queue.events_fired() - e0;
   r.sends = net.stats().messages;
   bench::Run::note_net(net.stats());
-  collect(net);
   return r;
 }
 
@@ -377,12 +339,12 @@ PhaseResult phase_parallel(unsigned jobs, std::uint64_t runs,
         sim::EventQueue queue;
         sim::Network net(queue,
                          sim::make_delay(sim::DelayKind::kFixed, 1));
-        apply_knobs(net);  // reads only; the collect() fold stays serial
+        net.set_batching(g_batching);
         tree::DynamicTree t;
         workload::build(t, workload::Shape::kRandomAttach, n, rng);
         core::DistributedController::Options opts;
         opts.track_domains = false;
-        opts.batch_grants = g_knobs.on;
+        opts.batch_grants = g_batching;
         core::DistributedController ctrl(
             net, t, core::Params(steps, steps / 5, 4 * n + 4 * steps),
             opts);
@@ -430,14 +392,11 @@ int main(int argc, char** argv) {
       util::flag_present(argc, argv, "--quick") ? 8 : 1;
   run.param("scale_divisor", scale);
 
-  // Batching knobs (EXP18/EXP19 flags; docs/EXPERIMENTS.md).  The workload
-  // counters below must be byte-identical across every knob setting — CI
-  // diffs a batched report against a --no-batch one to prove it.
-  g_knobs.on = !util::flag_present(argc, argv, "--no-batch");
-  g_knobs.window = static_cast<std::uint32_t>(
-      util::flag_u64(argc, argv, "--batch-window", 16));
-  run.param("batching", std::uint64_t{g_knobs.on ? 1u : 0u});
-  run.param("batch_window", std::uint64_t{g_knobs.window});
+  // Batching knob (docs/EXPERIMENTS.md).  The workload counters below must
+  // be byte-identical either way — CI diffs a batched report against a
+  // --no-batch one to prove it.
+  g_batching = !util::flag_present(argc, argv, "--no-batch");
+  run.param("batching", std::uint64_t{g_batching ? 1u : 0u});
 
   const PhaseResult cen = phase_centralized(4096, 2'000'000 / scale);
   Percentiles slice_ns;
@@ -538,48 +497,5 @@ int main(int argc, char** argv) {
   run.registry().set("perf.parallel.events", batches.front().events);
   run.registry().set("perf.parallel.runs",
                      pruns * static_cast<std::uint64_t>(batches.size()));
-
-  // Batching family (perf.batch.*): frame/cache/resume economics of the
-  // serial phases (B, C, D).  All gauges — their values follow the
-  // --no-batch / --batch-window knobs, so check_bench.py excludes them from
-  // the cross-report baseline diff (like perf.parallel.*); check_report.py
-  // instead validates their internal arithmetic (frames <= batched msgs,
-  // hits <= lookups, frame-size bucket conservation).
-  {
-    auto g = [&run](const std::string& name, double v) {
-      run.registry().set_gauge("perf.batch." + name, v);
-    };
-    g("frames", static_cast<double>(g_batch.frames));
-    g("batched_msgs", static_cast<double>(g_batch.batched_msgs));
-    g("frame_bits", static_cast<double>(g_batch.frame_bits));
-    g("member_bits", static_cast<double>(g_batch.member_bits));
-    for (std::size_t w = 0; w < g_batch.msgs_per_frame.size(); ++w) {
-      if (g_batch.msgs_per_frame[w] == 0) continue;
-      g("msgs_per_frame_w" + std::to_string(w),
-        static_cast<double>(g_batch.msgs_per_frame[w]));
-    }
-    g("cache_hits", static_cast<double>(g_cache_hits));
-    g("cache_lookups", static_cast<double>(g_cache_lookups));
-    g("cache_hit_rate",
-      g_cache_lookups > 0 ? static_cast<double>(g_cache_hits) /
-                                static_cast<double>(g_cache_lookups)
-                          : 0.0);
-    g("resume_inlined", static_cast<double>(g_resume.inlined));
-    g("resume_scheduled", static_cast<double>(g_resume.scheduled));
-    g("resume_max_chain", static_cast<double>(g_resume.max_chain));
-    std::printf(
-        "\n  batching (%s, window %u): %llu frames / %llu msgs coalesced, "
-        "%llu -> %llu bits; cache %llu/%llu hits; %llu resumes inlined "
-        "(max chain %llu)\n",
-        g_knobs.on ? "on" : "off", g_knobs.window,
-        static_cast<unsigned long long>(g_batch.frames),
-        static_cast<unsigned long long>(g_batch.batched_msgs),
-        static_cast<unsigned long long>(g_batch.member_bits),
-        static_cast<unsigned long long>(g_batch.frame_bits),
-        static_cast<unsigned long long>(g_cache_hits),
-        static_cast<unsigned long long>(g_cache_lookups),
-        static_cast<unsigned long long>(g_resume.inlined),
-        static_cast<unsigned long long>(g_resume.max_chain));
-  }
   return 0;
 }

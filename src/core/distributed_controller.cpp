@@ -193,7 +193,6 @@ void DistributedController::hop_up(Agent& a) {
   if (a.phase == Phase::kClimb) climb_steps.add();
   obs::emit(obs::TraceEvent{obs::EventKind::kAgentHop, net_.queue().now(),
                             a.at, a.id, 0});
-  if (options_.debug_trace) a.history += " up" + std::to_string(a.at);
   a.distance += 1;
   taxi_.hop_up(a.id, a.at, hop_message(a));
 }
@@ -207,7 +206,6 @@ void DistributedController::hop_down(Agent& a, NodeId to) {
   if (a.carrying != kNoPackage) moves.add();
   obs::emit(obs::TraceEvent{obs::EventKind::kAgentHop, net_.queue().now(),
                             a.at, a.id, 1});
-  if (options_.debug_trace) a.history += " dn" + std::to_string(a.at) + ">" + std::to_string(to);
   DYNCON_INVARIANT(a.distance >= 1, "hop_down below the origin");
   a.distance -= 1;
   taxi_.hop_down(a.id, a.at, to, hop_message(a));
@@ -237,14 +235,10 @@ void DistributedController::resume_waiter_tail(const agent::Waiter& w,
   sim::EventQueue& q = net_.queue();
   if (!options_.batch_grants || resume_depth_ >= kMaxChain ||
       net_.guarded_dispatch() || (!q.empty() && q.next_time() <= q.now())) {
-    ++resume_stats_.scheduled;
     resume_waiter(w, at);
     return;
   }
-  ++resume_stats_.inlined;
   ++resume_depth_;
-  resume_stats_.max_chain =
-      std::max<std::uint64_t>(resume_stats_.max_chain, resume_depth_);
   q.count_extra_fired(1);  // the event this inline call replaces
   on_arrival(w.agent, at, w.came_from);
   --resume_depth_;
@@ -290,7 +284,6 @@ void DistributedController::on_arrival(AgentId id, NodeId node,
   // its sends to the wrong op span.
   obs::ScopedSpanContext span_scope(a.span);
   a.at = node;
-  if (options_.debug_trace) a.history += " @" + std::to_string(node) + "/" + std::to_string(a.distance);
   switch (a.phase) {
     case Phase::kStart:
     case Phase::kClimb:
@@ -327,13 +320,11 @@ void DistributedController::on_enter(Agent& a, NodeId node,
     lock_waits.add();
     obs::emit(obs::TraceEvent{obs::EventKind::kLockWait, net_.queue().now(),
                               node, a.id, 0});
-    if (options_.debug_trace) a.history += " W" + std::to_string(node);
     boards_.enqueue(node, a.id, came_from);
     return;
   }
   boards_.lock(node, a.id, came_from);
   ++a.locks_held;
-  if (options_.debug_trace) a.history += " L" + std::to_string(node) + "@" + std::to_string(a.distance);
   evaluate(a);
 }
 
@@ -346,7 +337,6 @@ void DistributedController::evaluate(Agent& a) {
   // origin lock is (re)acquired is sufficient.
   if (a.distance == 0 && moot(a.request)) {
     --a.locks_held;
-    if (options_.debug_trace) a.history += " UO" + std::to_string(node);
     const auto waiter = boards_.unlock(node, a.id);
     a.result = Result{Outcome::kMoot};
     obs::count("requests.moot");
@@ -433,7 +423,6 @@ void DistributedController::root_logic(Agent& a) {
 void DistributedController::begin_proc(Agent& a, PackageId p,
                                        std::uint32_t level) {
   a.top_distance = a.distance;
-  if (options_.debug_trace) a.history += " PROC@" + std::to_string(a.distance) + "lvl" + std::to_string(level);
   if (domains_) domains_->drop(p);  // canceled: the package is being moved
   packages_.pick_up(p);
   a.carrying = p;
@@ -566,7 +555,6 @@ void DistributedController::apply_event_at_grant(Agent& a) {
         qa.distance += 1;
         boards_.lock(m, qa.id, child);
         ++qa.locks_held;
-        if (options_.debug_trace) qa.history += " SPLICE" + std::to_string(m);
         w.came_from = m;
       }
       // The splice rewrites waiter entries and a parked agent's distance
@@ -579,7 +567,6 @@ void DistributedController::apply_event_at_grant(Agent& a) {
                        "remove request away from its subject");
       boards_.release_for_removal(origin, a.id);
       --a.locks_held;
-      if (options_.debug_trace) a.history += " RL" + std::to_string(origin);
       const NodeId parent = tree_.parent(origin);
       obs::emit(obs::TraceEvent{obs::EventKind::kLinkRemoved,
                                 net_.queue().now(), origin, parent, 0});
@@ -662,7 +649,6 @@ void DistributedController::unlock_step(Agent& a, NodeId node) {
   const NodeId down = boards_.down_child(node);
   DYNCON_INVARIANT(down != kNoNode, "down pointer missing on unlock walk");
   --a.locks_held;
-  if (options_.debug_trace) a.history += " U" + std::to_string(node);
   const auto waiter = boards_.unlock(node, a.id);
   hop_down(a, down);
   if (waiter) resume_waiter_tail(*waiter, node);
@@ -684,7 +670,6 @@ void DistributedController::reject_step(Agent& a, NodeId node) {
   const NodeId down = boards_.down_child(node);
   DYNCON_INVARIANT(down != kNoNode, "down pointer missing on reject walk");
   --a.locks_held;
-  if (options_.debug_trace) a.history += " RU" + std::to_string(node);
   const auto waiter = boards_.unlock(node, a.id);
   hop_down(a, down);
   if (waiter) resume_waiter_tail(*waiter, node);
@@ -698,7 +683,6 @@ void DistributedController::abort_step(Agent& a, NodeId node) {
   const NodeId down = boards_.down_child(node);
   DYNCON_INVARIANT(down != kNoNode, "down pointer missing on abort walk");
   --a.locks_held;
-  if (options_.debug_trace) a.history += " AU" + std::to_string(node);
   const auto waiter = boards_.unlock(node, a.id);
   hop_down(a, down);
   if (waiter) resume_waiter_tail(*waiter, node);
@@ -745,7 +729,6 @@ void DistributedController::terminate_at_origin(Agent& a) {
   const NodeId origin = a.origin;
   if (a.locks_held > 0) {
     --a.locks_held;
-    if (options_.debug_trace) a.history += " UO" + std::to_string(origin);
     waiter = boards_.unlock(origin, a.id);
   }
   finish(a);  // `a` is gone after this
@@ -762,9 +745,7 @@ void DistributedController::finish(Agent& a) {
                          std::to_string(static_cast<int>(a.request.type)) +
                          " origin=" + std::to_string(a.origin) +
                          " top=" + std::to_string(a.top_distance) +
-                         " outcome=" +
-                         outcome_name(a.result.outcome) + " hist:" +
-                         a.history);
+                         " outcome=" + outcome_name(a.result.outcome));
   }
   if (obs::SpanSink* sink = obs::spans();
       sink != nullptr && a.span.trace != obs::kNoTrace) {

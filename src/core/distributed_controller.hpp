@@ -69,9 +69,6 @@ class DistributedController : public sim::CrashListener {
     /// grant permits but never apply topological changes themselves.
     bool apply_events = true;
     Interval serials;
-    /// Record a per-agent action trail (lock/unlock/hop); costs memory and
-    /// time, so it is off unless a test is being debugged.
-    bool debug_trace = false;
     /// Local observation hook (§5.3): called as (node, permits) whenever a
     /// carried package of `permits` permits arrives at `node` on its way
     /// down.  In the distributed protocol this is literally each node
@@ -116,15 +113,6 @@ class DistributedController : public sim::CrashListener {
     /// bit-identical to an unbatched run: the inlined waiter would have
     /// been the very next event to fire anyway.
     bool batch_grants = true;
-  };
-
-  /// Grant-wave economics (exported as the perf.batch.* bench family, never
-  /// to the metrics registry: registry snapshots must stay bit-identical
-  /// between batched and unbatched runs).
-  struct ResumeStats {
-    std::uint64_t inlined = 0;    ///< waiter continuations run inline
-    std::uint64_t scheduled = 0;  ///< waiter continuations scheduled at +0
-    std::uint64_t max_chain = 0;  ///< longest inline resume chain
   };
 
   /// Completion callback.  Deliberately std::function, not the hot-path
@@ -193,10 +181,6 @@ class DistributedController : public sim::CrashListener {
   /// flood + data handoffs): the paper's message complexity.
   [[nodiscard]] std::uint64_t messages_used() const { return messages_; }
 
-  [[nodiscard]] const ResumeStats& resume_stats() const {
-    return resume_stats_;
-  }
-
   /// Modeled whiteboard memory at node v in bits (Claim 4.8 accounting).
   /// In the designer-port model (§4.4.2) the agent queue at v is kept as a
   /// linked list distributed among v's children, so v itself only pays
@@ -231,7 +215,6 @@ class DistributedController : public sim::CrashListener {
     Callback done;
     Result result;
     std::uint64_t locks_held = 0;  ///< debug accounting; 0 at termination
-    std::string history;           ///< debug trail (lock/unlock/hop)
     // Op-span state (inert — trace stays kNoTrace — unless a SpanSink is
     // installed when the agent is created): every processing step scopes
     // `span` as the current context so hop spans parent to this op, and
@@ -377,7 +360,6 @@ class DistributedController : public sim::CrashListener {
 
   std::uint64_t storage_;
   Interval storage_serials_;
-  ResumeStats resume_stats_;
   std::uint32_t resume_depth_ = 0;  ///< inline resume chain depth
   std::uint64_t pending_grants_ = 0;  ///< grants awaiting the batched flush
   std::uint64_t granted_ = 0;

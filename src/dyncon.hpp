@@ -14,7 +14,6 @@
 #include "sim/delay.hpp"            // message-delay adversaries
 #include "sim/event_queue.hpp"      // deterministic discrete-event loop
 #include "sim/network.hpp"          // message transport + cost accounting
-#include "sim/trace.hpp"            // optional execution traces
 #include "tree/dynamic_tree.hpp"    // the dynamic rooted tree (§2.1.2)
 #include "tree/validate.hpp"        // structural audits
 #include "agent/convergecast.hpp"   // broadcast/upcast as real messages

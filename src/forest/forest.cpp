@@ -73,7 +73,6 @@ ForestEngine::ForestEngine(const ForestConfig& cfg, std::uint64_t seed)
   if (cfg_.shards > 1) {
     pool_ = std::make_unique<util::ThreadPool>(cfg_.shards);
   }
-  frame_bits_scratch_.reserve(256);  // grows once, then steady-state clean
 
   // Per-tree SoA index: one split-chain walk records each tree's ctor seed
   // (8 bytes), so a tree's stream is Rng(tree_seed_[t]) whether it
@@ -192,48 +191,9 @@ void ForestEngine::run_window_on_shard(std::uint64_t s) {
   enforce_residency(sh);
 }
 
-void ForestEngine::account_exchange_frame(const Shard& sh) {
-  // One frame per (shard, window) with completions: gamma count prefix plus
-  // each completion encoded as the AppMsg it would ride home in (a kToken
-  // carrying the user id).  Charged arithmetically — batch_frame_bits over
-  // the per-payload sizes — so the release path assembles nothing.
-  frame_bits_scratch_.clear();
-  std::uint64_t member_bits = 0;
-  for (const Completion& c : sh.outbox) {
-    const std::uint64_t bits =
-        sim::Message::app_value(sim::AppTopic::kToken, c.user).encoded_bits();
-    frame_bits_scratch_.push_back(bits);
-    member_bits += bits;
-  }
-  const std::uint64_t frame_bits = sim::batch_frame_bits(
-      frame_bits_scratch_.data(), frame_bits_scratch_.size());
-  ++stats_.exchange_frames;
-  stats_.exchange_batched_msgs += sh.outbox.size();
-  stats_.exchange_member_bits += member_bits;
-  stats_.exchange_frame_bits += frame_bits;
-#ifndef NDEBUG
-  // Debug builds assemble the real frame and round-trip it, proving the
-  // arithmetic charge matches what the codec would actually put on a wire.
-  std::vector<sim::Encoded> payloads;
-  payloads.reserve(sh.outbox.size());
-  for (const Completion& c : sh.outbox) {
-    payloads.push_back(
-        sim::Message::app_value(sim::AppTopic::kToken, c.user).encode());
-  }
-  const sim::Message frame = sim::Message::batch_frame(std::move(payloads));
-  DYNCON_INVARIANT(frame.encoded_bits() == frame_bits,
-                   "arithmetic frame charge diverged from the codec");
-  DYNCON_INVARIANT(sim::Message::decode(frame.encode()) == frame,
-                   "exchange frame failed its decode round-trip");
-#endif
-}
-
 void ForestEngine::exchange() {
   exchange_scratch_.clear();
   for (auto& shp : shards_) {
-    if (cfg_.batch_exchange && !shp->outbox.empty()) {
-      account_exchange_frame(*shp);
-    }
     exchange_scratch_.insert(exchange_scratch_.end(), shp->outbox.begin(),
                              shp->outbox.end());
     shp->outbox.clear();

@@ -45,7 +45,7 @@
 //     request totals match exactly across shard counts — tested in
 //     tests/test_forest, benched in bench/exp19_forest_scaling.
 //
-// The steady-state shard loop (event dispatch, serve, completion, batch
+// The steady-state shard loop (event dispatch, serve, completion, barrier
 // exchange) allocates nothing per event: queues recycle their slabs, all
 // engine buffers (outboxes, inboxes, sort scratch) retain capacity across
 // windows, and actions fit InlineFn's inline storage.  exp19's echo phase
@@ -111,12 +111,6 @@ struct ForestConfig {
   /// Per-shard span-ring capacity (used only when spans are enabled — a
   /// SpanSink installed on the constructing thread; see the ctor).
   std::size_t span_capacity = std::size_t{1} << 15;
-  /// Account each shard's per-window completion hand-off as ONE BatchFrame
-  /// (gamma count prefix + the completions encoded back to back) instead of
-  /// one message per completion.  Pure accounting: routing, ordering, and
-  /// every registry total are identical either way; only the exchange_*
-  /// diagnostics below appear/disappear.
-  bool batch_exchange = true;
 };
 
 /// The (M, W, U) parameter set the engine instantiates every controller
@@ -149,15 +143,6 @@ struct ForestStats {
   std::uint64_t hibernations = 0;    ///< live -> frozen transitions
   std::uint64_t wakes = 0;           ///< frozen -> live rematerializations
   std::uint64_t hibernate_bits = 0;  ///< total snapshot bits encoded
-  // Exchange batching (cfg.batch_exchange): one BatchFrame per (shard,
-  // window) with completions.  Frame grouping follows the shard count, so
-  // these stay out of the registry too.  member_bits is what the same
-  // completions would cost unbatched (one AppMsg header each);
-  // frame_bits is the coalesced cost actually charged.
-  std::uint64_t exchange_frames = 0;
-  std::uint64_t exchange_batched_msgs = 0;
-  std::uint64_t exchange_frame_bits = 0;
-  std::uint64_t exchange_member_bits = 0;
 };
 
 /// Memory accounting snapshot (perf.mem.* feedstock).  Byte figures are
@@ -268,7 +253,6 @@ class ForestEngine {
   workload::RequestMux mux_;
   core::Params params_;        ///< per-tree controller parameters
   std::uint64_t grow_cap_;     ///< resolved per-tree grow cap
-  void account_exchange_frame(const Shard& sh);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   // Per-tree SoA index — the only always-resident per-tree state (13
@@ -279,7 +263,6 @@ class ForestEngine {
   std::vector<std::uint32_t> tree_slot_;    ///< slab slot / frozen slot
   std::unique_ptr<util::ThreadPool> pool_;  // null when shards == 1
   std::vector<Completion> exchange_scratch_;
-  std::vector<std::uint64_t> frame_bits_scratch_;  // reused across windows
   SimTime clock_ = 0;  ///< current window edge (virtual time)
   SimTime window_end_ = 0;
   ForestStats stats_;

@@ -1,7 +1,7 @@
 #include "obs/events.hpp"
 
+#include <cstddef>
 #include <sstream>
-#include <utility>
 
 #include "obs/json.hpp"
 
@@ -9,7 +9,6 @@ namespace dyncon::obs {
 
 const char* event_kind_name(EventKind kind) {
   switch (kind) {
-    case EventKind::kText: return "Text";
     case EventKind::kPermitGranted: return "PermitGranted";
     case EventKind::kRequestRejected: return "RequestRejected";
     case EventKind::kRequestMoot: return "RequestMoot";
@@ -30,49 +29,37 @@ const char* event_kind_name(EventKind kind) {
   return "invalid";
 }
 
-std::string format_entry(const TraceEntry& entry) {
-  const TraceEvent& ev = entry.event;
+std::string format_event(const TraceEvent& ev) {
   std::string out = "[t=" + std::to_string(ev.time) + "] ";
-  if (ev.kind == EventKind::kText) return out + entry.text;
   out += event_kind_name(ev.kind);
   if (ev.node != kNoNode) out += " node=" + std::to_string(ev.node);
   out += " a=" + std::to_string(ev.a) + " b=" + std::to_string(ev.b);
   return out;
 }
 
-std::string entry_json(const TraceEntry& entry) {
-  const TraceEvent& ev = entry.event;
+std::string event_json(const TraceEvent& ev) {
   std::ostringstream os;
   os << "{\"kind\":";
   json::write_escaped(os, event_kind_name(ev.kind));
   os << ",\"t\":" << ev.time;
   if (ev.node != kNoNode) os << ",\"node\":" << ev.node;
-  if (ev.kind == EventKind::kText) {
-    os << ",\"text\":";
-    json::write_escaped(os, entry.text);
-  } else {
-    os << ",\"a\":" << ev.a << ",\"b\":" << ev.b;
-  }
-  os << "}";
+  os << ",\"a\":" << ev.a << ",\"b\":" << ev.b << "}";
   return os.str();
 }
 
-void EventTrace::record(const TraceEvent& event, std::string text) {
+void EventTrace::record(const TraceEvent& event) {
   if (!enabled_) return;
   ++recorded_;
-  ring_.push_back(TraceEntry{event, std::move(text)});
+  ring_.push_back(event);
   while (ring_.size() > capacity_) {
     ring_.pop_front();
     ++overwritten_;
   }
 }
 
-std::vector<TraceEntry> EventTrace::tail_entries(std::size_t n) const {
-  std::vector<TraceEntry> out;
+std::vector<TraceEvent> EventTrace::tail_events(std::size_t n) const {
   const std::size_t start = ring_.size() > n ? ring_.size() - n : 0;
-  out.reserve(ring_.size() - start);
-  for (std::size_t i = start; i < ring_.size(); ++i) out.push_back(ring_[i]);
-  return out;
+  return {ring_.begin() + static_cast<std::ptrdiff_t>(start), ring_.end()};
 }
 
 std::vector<std::string> EventTrace::tail(std::size_t n) const {
@@ -80,7 +67,7 @@ std::vector<std::string> EventTrace::tail(std::size_t n) const {
   const std::size_t start = ring_.size() > n ? ring_.size() - n : 0;
   out.reserve(ring_.size() - start);
   for (std::size_t i = start; i < ring_.size(); ++i) {
-    out.push_back(format_entry(ring_[i]));
+    out.push_back(format_event(ring_[i]));
   }
   return out;
 }
@@ -88,7 +75,7 @@ std::vector<std::string> EventTrace::tail(std::size_t n) const {
 void EventTrace::dump_jsonl(std::ostream& os, std::size_t n) const {
   const std::size_t start = ring_.size() > n ? ring_.size() - n : 0;
   for (std::size_t i = start; i < ring_.size(); ++i) {
-    os << entry_json(ring_[i]) << '\n';
+    os << event_json(ring_[i]) << '\n';
   }
 }
 

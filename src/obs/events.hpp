@@ -2,18 +2,15 @@
 
 // Typed trace events.
 //
-// The string trace (sim::Trace) is great for eyeballs and useless for
-// machines; these events are the machine-readable layer underneath it.
 // Every event is an enum tag plus a POD payload (two generic operand
 // slots whose meaning is fixed per kind — see the table in
 // docs/OBSERVABILITY.md), so recording one is an O(1) copy, and a failing
-// test or fuzz run can dump the tail as JSONL for post-mortem tooling.
+// test or fuzz run can dump the tail as formatted lines or as JSONL for
+// post-mortem tooling.
 //
 // Emission mirrors the metrics registry: protocol layers call
 // `obs::emit(...)`, which is a single branch unless an EventTrace has been
-// installed (`ScopedTrace`).  Legacy `trace.log(now, "...")` call sites
-// keep working — a string line is recorded as a kText event whose payload
-// lives in the ring entry, and the formatter reproduces the old output.
+// installed (`ScopedTrace`).
 
 #include <cstdint>
 #include <deque>
@@ -27,7 +24,6 @@
 namespace dyncon::obs {
 
 enum class EventKind : std::uint8_t {
-  kText = 0,          ///< legacy free-form line (shim for Trace::log)
   kPermitGranted,     ///< node=origin, a=serial (or ~0), b=permits left there
   kRequestRejected,   ///< node=origin
   kRequestMoot,       ///< node=origin
@@ -50,7 +46,7 @@ enum class EventKind : std::uint8_t {
 
 /// POD payload; the ring stores it by value.
 struct TraceEvent {
-  EventKind kind = EventKind::kText;
+  EventKind kind{};
   SimTime time = 0;
   NodeId node = kNoNode;
   std::uint64_t a = 0;
@@ -58,18 +54,11 @@ struct TraceEvent {
 };
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
-/// Ring entry: the typed event plus the kText payload (empty otherwise).
-struct TraceEntry {
-  TraceEvent event;
-  std::string text;
-};
-
-/// "[t=3] PermitGranted node=5 a=7 b=1" — or the legacy "[t=3] line" form
-/// for kText, byte-identical to what the old string trace produced.
-[[nodiscard]] std::string format_entry(const TraceEntry& entry);
+/// "[t=3] PermitGranted node=5 a=7 b=1".
+[[nodiscard]] std::string format_event(const TraceEvent& event);
 
 /// One compact JSON object (no trailing newline).
-[[nodiscard]] std::string entry_json(const TraceEntry& entry);
+[[nodiscard]] std::string event_json(const TraceEvent& event);
 
 /// Bounded in-memory event ring (keeps the most recent `capacity` events).
 class EventTrace {
@@ -80,13 +69,13 @@ class EventTrace {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Record one event (no-op when disabled).
-  void record(const TraceEvent& event, std::string text = {});
+  void record(const TraceEvent& event);
 
-  /// Most recent entries, oldest first.
-  [[nodiscard]] std::vector<TraceEntry> tail_entries(std::size_t n) const;
-  /// Most recent entries, formatted for humans, oldest first.
+  /// Most recent events, oldest first.
+  [[nodiscard]] std::vector<TraceEvent> tail_events(std::size_t n) const;
+  /// Most recent events, formatted for humans, oldest first.
   [[nodiscard]] std::vector<std::string> tail(std::size_t n = 64) const;
-  /// JSONL dump of the most recent `n` entries (one object per line).
+  /// JSONL dump of the most recent `n` events (one object per line).
   void dump_jsonl(std::ostream& os, std::size_t n = 64) const;
 
   /// Events offered while enabled (monotone; unaffected by ring eviction).
@@ -102,7 +91,7 @@ class EventTrace {
  private:
   std::size_t capacity_;
   bool enabled_ = false;
-  std::deque<TraceEntry> ring_;
+  std::deque<TraceEvent> ring_;
   std::uint64_t recorded_ = 0;
   std::uint64_t overwritten_ = 0;
 };

@@ -11,6 +11,11 @@
 
 namespace dyncon::sim {
 
+namespace {
+/// Maximum deliveries coalesced into one queue event.
+constexpr std::size_t kBatchWindow = 16;
+}  // namespace
+
 std::string NetStats::str() const {
   std::ostringstream os;
   os << "messages=" << messages << " total_bits=" << total_bits
@@ -36,16 +41,6 @@ void NetStats::merge(const NetStats& other) {
   }
   for (std::size_t w = 0; w < size_histogram.size(); ++w) {
     size_histogram[w] += other.size_histogram[w];
-  }
-}
-
-void BatchStats::merge(const BatchStats& other) {
-  frames += other.frames;
-  batched_msgs += other.batched_msgs;
-  frame_bits += other.frame_bits;
-  member_bits += other.member_bits;
-  for (std::size_t w = 0; w < msgs_per_frame.size(); ++w) {
-    msgs_per_frame[w] += other.msgs_per_frame[w];
   }
 }
 
@@ -148,18 +143,16 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
                    "wire round-trip mismatch for " + msg.str());
   ++stats_.roundtrip_checks;
   const std::uint64_t bits = enc.bits;
-  // Cross-check the encode cache against ground truth while we have it.
-  DYNCON_INVARIANT(cache_.measured_bits(msg) == bits,
-                   "encode cache disagrees with encode() for " + msg.str());
+  // Cross-check the release path's size-only pass against ground truth.
+  DYNCON_INVARIANT(msg.encoded_bits() == bits,
+                   "encoded_bits() disagrees with encode() for " + msg.str());
 #else
-  // Release builds take the size-only path through the per-kind encode
-  // cache: a hit returns the memoized size of the last message of this
-  // kind (one POD comparison), a miss runs the size-only BitCounter pass —
-  // the same body-writer as encode(), so the charged size is still
-  // *measured*, just without materializing the byte buffer nobody reads.
-  // (The ARQ channel still builds real frames, encoding each inner message
-  // into its pending slot's retained payload buffer.)
-  const std::uint64_t bits = cache_.measured_bits(msg);
+  // Release builds take the size-only BitCounter pass — the same
+  // body-writer as encode(), so the charged size is still *measured*, just
+  // without materializing the byte buffer nobody reads.  (The ARQ channel
+  // still builds real frames, encoding each inner message into its pending
+  // slot's retained payload buffer.)
+  const std::uint64_t bits = msg.encoded_bits();
 #endif
   // A channel data frame is charged under the kind of the message it wraps
   // (at the full wrapped size), so the per-kind decomposition exp9/exp13
@@ -198,11 +191,6 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
     drops.add();
     return;
   }
-#ifndef NDEBUG
-  const Encoded* frame_payload = &enc;
-#else
-  const Encoded* frame_payload = nullptr;
-#endif
   if (fault.duplicates == 0) {
     // Hot path: exactly one delivery; the continuation moves through
     // untouched — no copy, no allocation.
@@ -231,13 +219,11 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
       hop.deliver = std::move(on_deliver);
       // The token trampoline batches exactly like a plain delivery: spans
       // never perturb the virtual timeline, batched or not.
-      deliver_or_batch(from, to, d, bits,
-                       Deliver([this, token] { deliver_spanned(token); }),
-                       frame_payload);
+      deliver_or_batch(from, to, d,
+                       Deliver([this, token] { deliver_spanned(token); }));
       return;
     }
-    deliver_or_batch(from, to, d, bits, std::move(on_deliver),
-                     frame_payload);
+    deliver_or_batch(from, to, d, std::move(on_deliver));
     return;
   }
   // Cold path (fault-injected copies): several events must share one
@@ -252,8 +238,7 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
 }
 
 void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
-                               std::uint64_t bits, Deliver cont,
-                               [[maybe_unused]] const Encoded* enc) {
+                               Deliver cont) {
   if (!batching_) {
     queue_.schedule_after(delay, std::move(cont));
     return;
@@ -271,21 +256,17 @@ void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
       open_.when == when && when > queue_.now() &&
       queue_.schedule_seq() == open_.sched_seq) {
     if (open_.upgraded) {
-      BatchSlot& slot = batch_slots_[open_.slot];
-      if (slot.entries.size() < batch_window_) {
-        slot.entries.push_back(std::move(cont));
-        slot.bits.push_back(bits);
-#ifndef NDEBUG
-        if (enc != nullptr) slot.payloads.push_back(*enc);
-#endif
+      std::vector<Deliver>& slot = batch_slots_[open_.slot];
+      if (slot.size() < kBatchWindow) {
+        slot.push_back(std::move(cont));
         return;
       }
       // Window full: fall through to a fresh plain head.
-    } else if (batch_window_ >= 2) {
-      // Second member: upgrade the pending plain head into a frame
+    } else {
+      // Second member: upgrade the pending plain head into a batch
       // dispatch.  The head's queue entry keeps its (when, seq) position;
       // only its action is swapped, and the displaced continuation becomes
-      // the frame's first member.
+      // the batch's first member.
       std::uint32_t s;
       if (batch_free_.empty()) {
         s = static_cast<std::uint32_t>(batch_slots_.size());
@@ -294,18 +275,10 @@ void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
         s = batch_free_.back();
         batch_free_.pop_back();
       }
-      BatchSlot& slot = batch_slots_[s];
-      slot.entries.push_back(queue_.replace_action(
+      std::vector<Deliver>& slot = batch_slots_[s];
+      slot.push_back(queue_.replace_action(
           open_.head_slot, EventQueue::Action([this, s] { fire_batch(s); })));
-      slot.bits.push_back(open_.head_bits);
-      slot.entries.push_back(std::move(cont));
-      slot.bits.push_back(bits);
-#ifndef NDEBUG
-      if (open_.head_has_payload) {
-        slot.payloads.push_back(std::move(open_.head_payload));
-      }
-      if (enc != nullptr) slot.payloads.push_back(*enc);
-#endif
+      slot.push_back(std::move(cont));
       open_.upgraded = true;
       open_.slot = s;
       return;
@@ -322,59 +295,26 @@ void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
   open_.when = when;
   open_.sched_seq = queue_.schedule_seq();
   open_.head_slot = head_slot;
-  open_.head_bits = bits;
-#ifndef NDEBUG
-  open_.head_has_payload = enc != nullptr;
-  if (enc != nullptr) open_.head_payload = *enc;
-#endif
 }
 
 void Network::fire_batch(std::uint32_t s) {
-  // The batch is closed from here on: appends to a firing frame are
+  // The batch is closed from here on: appends to a firing batch are
   // impossible by construction (the append test requires a future firing
   // tick), but the open_ marker may still point at this slot if nothing
   // was scheduled since the last append.
   if (open_.active && open_.upgraded && open_.slot == s) open_.active = false;
-  BatchSlot& slot = batch_slots_[s];
-  const std::size_t n = slot.entries.size();
-  // Lazy opening guarantees a real frame: a batch only exists once a
+  const std::size_t n = batch_slots_[s].size();
+  // Lazy opening guarantees a real batch: it only exists once a
   // second member upgraded the plain head (n==1 deliveries never come
   // through here — they fire as ordinary queue events).
-  DYNCON_INVARIANT(n >= 2, "coalesced frame with fewer than two members");
-  {
-    // Frame economics (BatchStats only — the per-message registry charges
-    // already happened at transmit time, identically to --no-batch).
-    const std::uint64_t fbits = batch_frame_bits(slot.bits.data(), n);
-    std::uint64_t members = 0;
-    for (std::size_t i = 0; i < n; ++i) members += slot.bits[i];
-    ++batch_stats_.frames;
-    batch_stats_.batched_msgs += n;
-    batch_stats_.frame_bits += fbits;
-    batch_stats_.member_bits += members;
-    ++batch_stats_.msgs_per_frame[std::bit_width(n)];
-#ifndef NDEBUG
-    // Assemble the real frame and round-trip it: the wire layout the
-    // arithmetic above charges for must actually encode and decode.
-    if (slot.payloads.size() == n) {
-      const Message frame = Message::batch_frame(slot.payloads);
-      const Encoded fenc = frame.encode();
-      DYNCON_INVARIANT(fenc.bits == fbits,
-                       "batch frame arithmetic disagrees with encode()");
-      DYNCON_INVARIANT(Message::decode(fenc) == frame,
-                       "wire round-trip mismatch for " + frame.str());
-    }
-#endif
-    // The n-1 merged members each stand for one unbatched queue pop.
-    queue_.count_extra_fired(n - 1);
-  }
+  DYNCON_INVARIANT(n >= 2, "coalesced batch with fewer than two members");
+  ++batch_frames_;
+  // The n-1 merged members each stand for one unbatched queue pop.
+  queue_.count_extra_fired(n - 1);
   // Run the members in append order == the unbatched (when, seq) order.
   // Move the entry vector out first: a continuation may send again and
-  // grow batch_slots_, invalidating `slot`.
-  std::vector<Deliver> run = std::move(slot.entries);
-  slot.bits.clear();
-#ifndef NDEBUG
-  slot.payloads.clear();
-#endif
+  // grow batch_slots_, invalidating references into it.
+  std::vector<Deliver> run = std::move(batch_slots_[s]);
   // Members run under guarded dispatch: a continuation that wants to inline
   // follow-on work (the controller's grant waves) must not jump ahead of its
   // sibling members — unbatched, they fire first.
@@ -382,7 +322,7 @@ void Network::fire_batch(std::uint32_t s) {
   for (Deliver& d : run) d();
   --guard_depth_;
   run.clear();
-  batch_slots_[s].entries = std::move(run);  // hand the capacity back
+  batch_slots_[s] = std::move(run);  // hand the capacity back
   batch_free_.push_back(s);
 }
 
@@ -408,16 +348,12 @@ void Network::charge(const Message& prototype, std::uint64_t count) {
   DYNCON_INVARIANT(Message::decode(enc) == prototype,
                    "wire round-trip mismatch for " + prototype.str());
   ++stats_.roundtrip_checks;
-  DYNCON_INVARIANT(cache_.measured_bits(prototype) == enc.bits,
-                   "encode cache disagrees with encode() for " +
+  DYNCON_INVARIANT(prototype.encoded_bits() == enc.bits,
+                   "encoded_bits() disagrees with encode() for " +
                        prototype.str());
   account(prototype.kind(), enc.bits, count);
 #else
-  // Bursts of charges repeat a handful of prototype shapes (a graceful
-  // deletion emits one per handoff record); the per-kind encode cache —
-  // which PR 9 grew out of the charge memo that used to live here — sizes
-  // each shape once and repeats don't even pay the counting pass.
-  account(prototype.kind(), cache_.measured_bits(prototype), count);
+  account(prototype.kind(), prototype.encoded_bits(), count);
 #endif
 }
 

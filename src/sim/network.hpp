@@ -81,25 +81,6 @@ struct NetStats {
   void merge(const NetStats& other);
 };
 
-/// Economics of the same-edge delivery coalescing layer (PR 9).  These are
-/// *frame* metrics, deliberately kept OUT of NetStats and the metrics
-/// registry: logical per-message accounting stays bit-identical between
-/// batched and --no-batch runs (the acceptance contract), while this struct
-/// records what the coalesced frames would cost a real transport.  Exported
-/// to reports only as the perf.batch.* bench family.
-struct BatchStats {
-  std::uint64_t frames = 0;        ///< coalesced frames fired (>= 2 msgs)
-  std::uint64_t batched_msgs = 0;  ///< messages delivered inside those frames
-  std::uint64_t frame_bits = 0;    ///< measured BatchFrame wire cost
-  std::uint64_t member_bits = 0;   ///< what the same messages cost singly
-  /// msgs_per_frame[w] counts frames whose message count has bit-width w
-  /// (same log2 bucketing as NetStats::size_histogram).
-  std::array<std::uint64_t, 33> msgs_per_frame{};
-  bool operator==(const BatchStats&) const = default;
-
-  void merge(const BatchStats& other);
-};
-
 /// Damage the installed FaultPolicy actually inflicted (cumulative per
 /// network instance; the live registry counterparts are faults.injected.*).
 struct FaultStats {
@@ -195,25 +176,18 @@ class Network {
 
   /// Same-edge delivery coalescing: consecutive sends on one (src, dst)
   /// link, bound for the same delivery tick with nothing else scheduled in
-  /// between, merge into one BatchFrame event (up to the window).  ON by
-  /// default — coalescing is exact: per-message accounting, fault draws,
-  /// delay draws, and the (when, seq) firing order are all unchanged, so a
-  /// batched run is byte-identical to a --no-batch run.
+  /// between, merge into one queue event (up to 16 deliveries).
+  /// ON by default — coalescing is exact: per-message accounting, fault
+  /// draws, delay draws, and the (when, seq) firing order are all
+  /// unchanged, so a batched run is byte-identical to a --no-batch run.
   void set_batching(bool on) { batching_ = on; }
   [[nodiscard]] bool batching() const { return batching_; }
-  /// Maximum messages coalesced into one frame (>= 1; 1 disables merging).
-  void set_batch_window(std::uint32_t window) {
-    DYNCON_REQUIRE(window >= 1, "batch window must be >= 1");
-    batch_window_ = window;
-  }
-  [[nodiscard]] std::uint32_t batch_window() const { return batch_window_; }
-
-  [[nodiscard]] const BatchStats& batch_stats() const { return batch_stats_; }
-  /// The per-kind encode cache (for its hit/lookup counters).
-  [[nodiscard]] const EncodeCache& encode_cache() const { return cache_; }
+  /// Coalesced events fired (each merged >= 2 deliveries); tests read it to
+  /// prove a batched-vs-unbatched comparison was not vacuous.
+  [[nodiscard]] std::uint64_t batch_frames() const { return batch_frames_; }
 
   /// True while the current event still has transport work queued BEHIND the
-  /// continuation now running: a coalesced frame delivering its remaining
+  /// continuation now running: a coalesced batch delivering its remaining
   /// members, or the ARQ channel releasing held frames / about to send its
   /// ack.  Inline fast paths that rely on "nothing happens between this
   /// point and the next queue pop" (the controller's inline grant waves)
@@ -238,23 +212,11 @@ class Network {
     Deliver deliver;
   };
 
-  /// One pooled coalescing buffer: the continuations (and measured sizes)
-  /// of the deliveries merged into one scheduled BatchFrame event.  All
-  /// vectors retain capacity across reuse — zero steady-state allocation.
-  struct BatchSlot {
-    std::vector<Deliver> entries;
-    std::vector<std::uint64_t> bits;
-#ifndef NDEBUG
-    std::vector<Encoded> payloads;  ///< real encodings, for the frame
-                                    ///< round-trip check
-#endif
-  };
-
   /// The one batch currently accepting appends (at most one: adjacency is
   /// what makes coalescing order-exact).  A batch opens LAZILY: the head
   /// delivery is scheduled plain — exactly the --no-batch path — and only
   /// a second coalescible send upgrades the pending queue entry into a
-  /// frame dispatch (EventQueue::replace_action).  The dominant n==1 case
+  /// batch dispatch (EventQueue::replace_action).  The dominant n==1 case
   /// therefore pays a few stores here and nothing else.
   struct OpenBatch {
     bool active = false;
@@ -265,12 +227,7 @@ class Network {
     std::uint64_t sched_seq = 0;  ///< queue seq watermark at open/append —
                                   ///< any scheduling in between closes it
     std::uint32_t head_slot = 0;  ///< queue slab slot of the plain head
-    std::uint64_t head_bits = 0;  ///< head's measured size, for the frame
     std::uint32_t slot = 0;       ///< batch slot, meaningful once upgraded
-#ifndef NDEBUG
-    Encoded head_payload;  ///< head's real encoding, for the round trip
-    bool head_has_payload = false;
-#endif
   };
 
   void account(MsgKind kind, std::uint64_t bits, std::uint64_t count);
@@ -285,12 +242,10 @@ class Network {
   void transmit(NodeId from, NodeId to, const Message& msg,
                 Deliver on_deliver);
   /// Schedule one surviving delivery — appending to the open batch when the
-  /// coalescing conditions hold, else opening a fresh one.  `enc` is the
-  /// debug-build encoding (null in release), kept for the frame round trip.
-  void deliver_or_batch(NodeId from, NodeId to, SimTime delay,
-                        std::uint64_t bits, Deliver cont, const Encoded* enc);
-  /// Fire a batch: record frame economics, credit the merged continuations
-  /// as fired events, run every entry in append (== seq) order.
+  /// coalescing conditions hold, else opening a fresh one.
+  void deliver_or_batch(NodeId from, NodeId to, SimTime delay, Deliver cont);
+  /// Fire a batch: credit the merged continuations as fired events, run
+  /// every entry in append (== seq) order.
   void fire_batch(std::uint32_t slot);
 
   EventQueue& queue_;
@@ -299,16 +254,15 @@ class Network {
   std::unique_ptr<ReliableChannel> channel_;
   NetStats stats_;
   FaultStats fault_stats_;
-  BatchStats batch_stats_;
-  /// Per-kind encode cache: measured sizes for the release transmit/charge
-  /// paths (supersedes the PR-4 charge memo).
-  EncodeCache cache_;
-  std::vector<BatchSlot> batch_slots_;
+  std::uint64_t batch_frames_ = 0;
+  /// Pooled coalescing buffers: the continuations merged into one queue
+  /// event each.  They keep their capacity across reuse — zero
+  /// steady-state allocation.
+  std::vector<std::vector<Deliver>> batch_slots_;
   std::vector<std::uint32_t> batch_free_;  ///< recycled slot indices
   OpenBatch open_;
   std::uint32_t guard_depth_ = 0;  ///< see guarded_dispatch()
   bool batching_ = true;
-  std::uint32_t batch_window_ = 16;
   std::unordered_map<std::uint64_t, PendingHop> pending_hops_;
   std::uint64_t hop_token_ = 0;
   std::uint64_t seq_ = 0;

@@ -24,8 +24,6 @@ const char* msg_kind_name(MsgKind kind) {
       return "app";
     case MsgKind::kChannel:
       return "channel";
-    case MsgKind::kBatch:
-      return "batch";
     case MsgKind::kKindCount__:
       break;
   }
@@ -197,7 +195,7 @@ void BitReader::skip(std::uint64_t n) {
 // ---- Message ----------------------------------------------------------------
 
 namespace {
-constexpr std::uint32_t kTagBits = kMsgTagBits;  // 7 kinds fit 3 bits
+constexpr std::uint32_t kTagBits = kMsgTagBits;  // 6 kinds fit 3 bits
 constexpr std::uint32_t kTopicBits = 2;  // <= 4 topics per kind
 constexpr std::uint32_t kPhaseBits = 3;  // controller phases fit in 3 bits
 static_assert(static_cast<std::size_t>(MsgKind::kKindCount__) <=
@@ -233,19 +231,13 @@ void write_message(Writer& w, const Message::Body& body) {
           w.put_varint(m.value);
           w.put_gamma(m.opaque_bits);
           w.pad_zeros(m.opaque_bits);
-        } else if constexpr (std::is_same_v<T, ChannelMsg>) {
+        } else {
+          static_assert(std::is_same_v<T, ChannelMsg>);
           w.put_bit(m.topic == ChannelTopic::kAck);
           w.put_gamma(m.seq);
           if (m.topic == ChannelTopic::kData) {
             w.put_gamma(m.payload.bits);
             w.put_encoded(m.payload);
-          }
-        } else {
-          static_assert(std::is_same_v<T, BatchMsg>);
-          w.put_gamma(m.payloads.size());
-          for (const Encoded& p : m.payloads) {
-            w.put_gamma(p.bits);
-            w.put_encoded(p);
           }
         }
       },
@@ -260,16 +252,6 @@ MsgKind ChannelMsg::inner_kind() const {
   const std::uint64_t tag = r.get_bits(kTagBits);
   DYNCON_REQUIRE(tag < static_cast<std::uint64_t>(MsgKind::kKindCount__),
                  "channel payload carries an unknown kind tag");
-  return static_cast<MsgKind>(tag);
-}
-
-MsgKind BatchMsg::payload_kind(std::size_t i) const {
-  DYNCON_REQUIRE(i < payloads.size() && payloads[i].bits >= kTagBits,
-                 "payload_kind needs an in-range tagged payload");
-  BitReader r(payloads[i]);
-  const std::uint64_t tag = r.get_bits(kTagBits);
-  DYNCON_REQUIRE(tag < static_cast<std::uint64_t>(MsgKind::kKindCount__),
-                 "batch payload carries an unknown kind tag");
   return static_cast<MsgKind>(tag);
 }
 
@@ -319,15 +301,6 @@ void Message::assign_channel_data(std::uint64_t seq, const Message& inner) {
 
 Message Message::channel_ack(std::uint64_t seq) {
   return Message(ChannelMsg{ChannelTopic::kAck, seq, Encoded{}});
-}
-
-Message Message::batch_frame(std::vector<Encoded> payloads) {
-  BatchMsg m{std::move(payloads)};
-  for (std::size_t i = 0; i < m.payloads.size(); ++i) {
-    DYNCON_REQUIRE(m.payload_kind(i) != MsgKind::kBatch,
-                   "batch frames never nest");
-  }
-  return Message(std::move(m));
 }
 
 Encoded Message::encode() const {
@@ -410,32 +383,6 @@ Message Message::decode(const Encoded& e) {
       body = std::move(m);
       break;
     }
-    case MsgKind::kBatch: {
-      BatchMsg m;
-      const std::uint64_t count = r.get_gamma();
-      DYNCON_REQUIRE(count <= r.remaining(),
-                     "malformed batch frame: impossible payload count");
-      m.payloads.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t payload_bits = r.get_gamma();
-        DYNCON_REQUIRE(payload_bits <= r.remaining(),
-                       "malformed batch frame: truncated payload");
-        DYNCON_REQUIRE(payload_bits >= kTagBits,
-                       "malformed batch frame: payload too short for a tag");
-        BitWriter pw(payload_bits);
-        for (std::uint64_t left = payload_bits; left > 0;) {
-          const std::uint32_t chunk =
-              left >= 64 ? 64 : static_cast<std::uint32_t>(left);
-          pw.put_bits(r.get_bits(chunk), chunk);
-          left -= chunk;
-        }
-        m.payloads.push_back(pw.finish());
-        DYNCON_REQUIRE(m.payload_kind(i) != MsgKind::kBatch,
-                       "malformed batch frame: nested batch payload");
-      }
-      body = std::move(m);
-      break;
-    }
     case MsgKind::kKindCount__:
       break;  // unreachable: tag < kKindCount__ checked above
   }
@@ -466,11 +413,6 @@ std::string Message::str() const {
         } else if constexpr (std::is_same_v<T, ChannelMsg>) {
           os << (m.topic == ChannelTopic::kAck ? "ack" : "data")
              << " seq=" << m.seq << " payload_bits=" << m.payload.bits;
-        } else if constexpr (std::is_same_v<T, BatchMsg>) {
-          std::uint64_t payload_bits = 0;
-          for (const Encoded& p : m.payloads) payload_bits += p.bits;
-          os << "count=" << m.payloads.size()
-             << " payload_bits=" << payload_bits;
         }
       },
       body_);

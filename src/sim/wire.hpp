@@ -19,17 +19,15 @@
 //   * fixed-width bit fields for small closed enums (message tag, topic,
 //     phase) and flags.
 //
-// Every message is one of five tagged variants, one per `MsgKind`, so the
+// Every message is one of six tagged variants, one per `MsgKind`, so the
 // per-kind accounting in `NetStats` decomposes the paper's cost terms.  In
 // debug builds `Network::send` decodes every encoded message back and
 // compares it to the original, so an encode/decode asymmetry fails loudly
 // at the send site.
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -56,7 +54,6 @@ enum class MsgKind : std::uint8_t {
   kDataMove,    ///< graceful-deletion data handoff to parent
   kApp,         ///< application-layer traffic (DFS relabeling, estimates, ...)
   kChannel,     ///< reliable-channel control traffic (acks; see sim/channel.hpp)
-  kBatch,       ///< coalesced same-edge frame of back-to-back messages
   kKindCount__  ///< sentinel
 };
 
@@ -79,7 +76,7 @@ struct Encoded {
   bool operator==(const Encoded&) const = default;
 };
 
-/// Width of the leading kind tag on every wire message (3 bits: 7 kinds).
+/// Width of the leading kind tag on every wire message (3 bits: 6 kinds).
 inline constexpr std::uint32_t kMsgTagBits = 3;
 
 /// Exact bit cost of the Elias-gamma code for `v` (see BitWriter::put_gamma).
@@ -268,21 +265,6 @@ struct ChannelMsg {
   [[nodiscard]] MsgKind inner_kind() const;
 };
 
-/// One coalesced same-edge frame: consecutive sends on one (src, dst) link
-/// within a delivery window, shipped as a single wire message.  The layout
-/// is one 3-bit tag, a gamma-coded payload count, then the payloads back to
-/// back (each with its own gamma length prefix, the ChannelMsg embedding
-/// convention) — so the frame costs one header plus the measured payload
-/// bits, which is exactly the saving batching claims.  Batch frames never
-/// nest: a payload must not itself be a kBatch message.
-struct BatchMsg {
-  std::vector<Encoded> payloads;
-  bool operator==(const BatchMsg&) const = default;
-
-  /// Accounting kind of payload `i` (its leading tag).
-  [[nodiscard]] MsgKind payload_kind(std::size_t i) const;
-};
-
 // ---- the tagged message -----------------------------------------------------
 
 /// A tagged wire message.  The variant order matches `MsgKind`, so the
@@ -290,7 +272,7 @@ struct BatchMsg {
 class Message {
  public:
   using Body = std::variant<AgentHopMsg, RejectWaveMsg, ControlMsg,
-                            DataMoveMsg, AppMsg, ChannelMsg, BatchMsg>;
+                            DataMoveMsg, AppMsg, ChannelMsg>;
 
   explicit Message(Body body) : body_(std::move(body)) {}
 
@@ -309,9 +291,6 @@ class Message {
   /// A reliable-channel cumulative ack: every frame with sequence < `seq`
   /// on this link has been delivered.
   static Message channel_ack(std::uint64_t seq);
-  /// A coalesced same-edge frame of already-encoded payloads (none of which
-  /// may itself be a batch frame: batches never nest).
-  static Message batch_frame(std::vector<Encoded> payloads);
 
   [[nodiscard]] MsgKind kind() const {
     return static_cast<MsgKind>(body_.index());
@@ -347,78 +326,6 @@ class Message {
 
  private:
   Body body_;
-};
-
-/// Exact wire size of a batch frame over payloads whose sizes are already
-/// known: the 3-bit tag + gamma(count) + per payload gamma(bits) + bits.
-/// Lets the release-build network charge a frame arithmetically, without
-/// assembling (or allocating) it; test_batch asserts it equals the bits of
-/// the frame Message::batch_frame actually encodes.
-[[nodiscard]] inline std::uint64_t batch_frame_bits(
-    const std::uint64_t* payload_bits, std::size_t count) {
-  std::uint64_t bits = kMsgTagBits + gamma_bits(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    bits += gamma_bits(payload_bits[i]) + payload_bits[i];
-  }
-  return bits;
-}
-
-// ---- per-kind encode cache --------------------------------------------------
-
-/// Per-kind memo of the last message sized, grown out of the PR-4 charge
-/// memo (kind -> (prototype, bits)).  Protocol traffic is dominated by
-/// runs of near-identical small messages (an agent re-sends the same hop
-/// shape along a path; rejects and acks repeat verbatim), so a
-/// one-entry-per-kind cache already captures most of the redundancy while
-/// costing one POD comparison per lookup.
-///
-/// Only POD-bodied kinds are cacheable: kChannel and kBatch embed encoded
-/// payload vectors, so their equality test would cost as much as the encode
-/// they are meant to skip (and their seq/count fields change every frame).
-///
-/// The cache holds sizes only (prototype -> bits); a miss runs the
-/// size-only BitCounter pass (no allocation) and refreshes the slot.
-class EncodeCache {
- public:
-  [[nodiscard]] static constexpr bool cacheable(MsgKind k) {
-    return k != MsgKind::kChannel && k != MsgKind::kBatch &&
-           k != MsgKind::kKindCount__;
-  }
-
-  /// Measured encoded size of `msg` in bits (== msg.encoded_bits()); skips
-  /// the BitCounter pass on a hit.  Never allocates for cacheable kinds.
-  [[nodiscard]] std::uint64_t measured_bits(const Message& msg) {
-    const MsgKind k = msg.kind();
-    if (!cacheable(k)) return msg.encoded_bits();
-    if (k == MsgKind::kAgent) {
-      // Agent hops mutate every hop (distance / top_distance), so the memo
-      // never pays for them: every lookup would miss, and the miss path
-      // adds a prototype compare + copy-assign on top of the size pass it
-      // runs anyway.  Skip straight to the (allocation-free) counter.
-      return msg.encoded_bits();
-    }
-    Slot& slot = slots_[static_cast<std::size_t>(k)];
-    ++lookups_;
-    if (slot.key && *slot.key == msg) {
-      ++hits_;
-      return slot.bits;
-    }
-    slot.key = msg;
-    slot.bits = msg.encoded_bits();
-    return slot.bits;
-  }
-
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
-
- private:
-  struct Slot {
-    std::optional<Message> key;   ///< last prototype of this kind
-    std::uint64_t bits = 0;       ///< its measured size
-  };
-  std::array<Slot, static_cast<std::size_t>(MsgKind::kKindCount__)> slots_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t lookups_ = 0;
 };
 
 }  // namespace dyncon::sim

@@ -1,9 +1,8 @@
-// Batch-coalescing tests (PR 9): the BatchFrame wire format, the network's
-// same-edge delivery coalescing, and the end-to-end identity contract —
-// batching is a transport optimization, so every observable of a run
-// (registry snapshot, NetStats, delivery order, event count) must be
-// bit-identical with batching on and off, under every fault adversary and
-// at every shard count.
+// Batch-coalescing tests: the network's same-edge delivery coalescing and
+// the end-to-end identity contract — batching is a transport optimization,
+// so every observable of a run (registry snapshot, NetStats, delivery
+// order, event count) must be bit-identical with batching on and off,
+// under every fault adversary and at every shard count.
 
 #include <gtest/gtest.h>
 
@@ -16,111 +15,11 @@
 #include "obs/metrics.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
-#include "sim/wire.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 
 namespace dyncon::sim {
 namespace {
-
-// ---- BatchFrame wire properties ---------------------------------------------
-
-/// A random non-batch payload, small ids biased toward the sizes real runs
-/// produce (agent hops dominate the coalesced traffic).
-Message random_payload(Rng& rng) {
-  switch (rng.uniform(0, 3)) {
-    case 0:
-      return Message::agent_hop(rng.uniform(0, 1u << 20),
-                                rng.uniform(0, 1u << 10),
-                                rng.uniform(0, 1u << 10),
-                                static_cast<std::uint32_t>(rng.uniform(0, 30)),
-                                static_cast<std::uint8_t>(rng.uniform(0, 7)),
-                                rng.chance(0.5));
-    case 1:
-      return Message::data_move(rng.uniform(0, 1u << 20));
-    case 2:
-      return Message::control(static_cast<ControlTopic>(rng.uniform(0, 3)),
-                              rng.uniform(0, 1u << 16));
-    default:
-      return Message::reject_wave();
-  }
-}
-
-TEST(BatchFrame, RoundTripRandomKindMixes) {
-  Rng rng(0xba7c4);
-  for (int iter = 0; iter < 400; ++iter) {
-    const std::size_t n = 1 + rng.uniform(0, 7);
-    std::vector<Encoded> payloads;
-    std::vector<std::uint64_t> sizes;
-    for (std::size_t i = 0; i < n; ++i) {
-      payloads.push_back(random_payload(rng).encode());
-      sizes.push_back(payloads.back().bits);
-    }
-    const Message frame = Message::batch_frame(payloads);
-    const Encoded e = frame.encode();
-    // The size arithmetic the release network charges with must match the
-    // bits the encoder actually produces.
-    EXPECT_EQ(e.bits, batch_frame_bits(sizes.data(), n));
-    EXPECT_EQ(e.bits, frame.measured_bits());
-    const Message back = Message::decode(e);
-    ASSERT_EQ(back, frame);
-    // Payloads decode back to the original messages, in order.
-    const auto& bm = back.as<BatchMsg>();
-    ASSERT_EQ(bm.payloads.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(bm.payloads[i], payloads[i]);
-    }
-  }
-}
-
-TEST(BatchFrame, CountPrefixEdgeCases) {
-  // A single-payload frame is legal on the wire (the network never emits
-  // one — lazy opening guarantees n >= 2 — but the codec must not care),
-  // and so is a frame far wider than any delivery window.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
-                              std::size_t{64}, std::size_t{257}}) {
-    std::vector<Encoded> payloads;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Smallest possible payload: the tag-only reject wave.
-      payloads.push_back(Message::reject_wave().encode());
-    }
-    const Message frame = Message::batch_frame(std::move(payloads));
-    const Encoded e = frame.encode();
-    const Message back = Message::decode(e);
-    ASSERT_EQ(back, frame) << "count=" << n;
-    EXPECT_EQ(back.as<BatchMsg>().payloads.size(), n);
-  }
-}
-
-TEST(BatchFrame, TruncationIsRejected) {
-  Rng rng(0x7041);
-  std::vector<Encoded> payloads;
-  for (int i = 0; i < 5; ++i) payloads.push_back(random_payload(rng).encode());
-  const Message frame = Message::batch_frame(std::move(payloads));
-  const Encoded whole = frame.encode();
-  // Chopping the frame anywhere — inside the count prefix, between
-  // payloads, mid-payload — must throw, never mis-decode.
-  for (std::uint64_t bits = 0; bits < whole.bits; ++bits) {
-    Encoded cut = whole;
-    cut.bits = bits;
-    EXPECT_THROW((void)Message::decode(cut), ContractError) << "bits=" << bits;
-  }
-  // A stray trailing bit is equally malformed.
-  Encoded padded = whole;
-  padded.bits += 1;
-  padded.bytes.resize((padded.bits + 7) / 8, 0);
-  EXPECT_THROW((void)Message::decode(padded), ContractError);
-}
-
-TEST(BatchFrame, FramesNeverNest) {
-  std::vector<Encoded> inner;
-  inner.push_back(Message::reject_wave().encode());
-  inner.push_back(Message::data_move(7).encode());
-  const Encoded nested = Message::batch_frame(std::move(inner)).encode();
-  std::vector<Encoded> outer;
-  outer.push_back(nested);
-  EXPECT_THROW((void)Message::batch_frame(std::move(outer)), ContractError);
-}
 
 // ---- coalescing preserves per-link delivery order ---------------------------
 
@@ -161,7 +60,7 @@ StreamResult run_stream(DelayKind kind, FaultFactory make_fault,
     }
     q.run();
   }
-  out.frames = net.batch_stats().frames;
+  out.frames = net.batch_frames();
   return out;
 }
 
@@ -285,12 +184,12 @@ TEST(BatchedGrants, BitIdenticalToUnbatchedOnSeedSweep) {
 }  // namespace
 }  // namespace dyncon::core
 
-// ---- forest: byte-identical across shard counts and batching ----------------
+// ---- forest: byte-identical across shard counts ------------------------------
 
 namespace dyncon::forest {
 namespace {
 
-std::string forest_registry(unsigned shards, bool batch_exchange) {
+std::string forest_registry(unsigned shards) {
   ForestConfig cfg;
   cfg.shards = shards;
   cfg.mux.users = 96;
@@ -298,7 +197,6 @@ std::string forest_registry(unsigned shards, bool batch_exchange) {
   cfg.mux.requests_per_user = 6;
   cfg.tree_size = 12;
   cfg.window = 64;
-  cfg.batch_exchange = batch_exchange;
   obs::Registry reg;
   ForestEngine engine(cfg, /*seed=*/77);
   {
@@ -309,13 +207,11 @@ std::string forest_registry(unsigned shards, bool batch_exchange) {
 }
 
 TEST(ForestBatching, ByteIdenticalAcrossShardsAndBatching) {
-  const std::string base = forest_registry(1, false);
-  for (const unsigned shards : {1u, 3u, 8u}) {
-    for (const bool batching : {false, true}) {
-      if (shards == 1 && !batching) continue;
-      EXPECT_EQ(forest_registry(shards, batching), base)
-          << "shards=" << shards << " batch_exchange=" << batching;
-    }
+  // The per-window barrier exchange batches every shard's completions; the
+  // merged registry must not depend on how many shards fed the batch.
+  const std::string base = forest_registry(1);
+  for (const unsigned shards : {3u, 8u}) {
+    EXPECT_EQ(forest_registry(shards), base) << "shards=" << shards;
   }
 }
 

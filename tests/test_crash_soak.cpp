@@ -257,7 +257,7 @@ TEST(CrashSoak, BatchingIdentityUnderCrashes) {
     queue.run();
     while (wd.run_recovery_sweep() > 0) queue.run();
     wd.verify_idle();
-    fp.frames = net.batch_stats().frames;
+    fp.frames = net.batch_frames();
     fp.registry = reg.to_json().dump();
     return fp;
   };

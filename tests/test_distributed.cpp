@@ -9,6 +9,7 @@
 
 #include "core/centralized_controller.hpp"
 #include "core/distributed_controller.hpp"
+#include "obs/events.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -281,14 +282,15 @@ TEST(Distributed, SerialsDeliveredToRequests) {
 }
 
 TEST(Distributed, DebugTraceRecordsAgentTrails) {
-  // debug_trace is off by default; with it on, stuck-agent dumps carry the
-  // full action trail (lock/unlock/hop per agent).
+  // Stuck-agent dumps come from debug_agents(); each agent's action trail
+  // (hops, lock waits) is recorded by the typed event trace.
   Rng rng(41);
   Sim s;
+  obs::EventTrace trace(1024);
+  trace.enable();
+  obs::ScopedTrace trace_scope(trace);
   workload::build(s.tree, workload::Shape::kPath, 12, rng);
-  DistributedController::Options opts;
-  opts.debug_trace = true;
-  DistributedController ctrl(s.net, s.tree, Params(20, 10, 32), opts);
+  DistributedController ctrl(s.net, s.tree, Params(20, 10, 32));
   // Keep one agent parked mid-operation so debug_agents() has content:
   // it waits behind a lock we never release by pausing the queue early.
   const auto nodes = s.tree.alive_nodes();
@@ -297,9 +299,18 @@ TEST(Distributed, DebugTraceRecordsAgentTrails) {
   s.queue.run(3);  // partial: agents are mid-walk
   const std::string dump = ctrl.debug_agents();
   EXPECT_NE(dump.find("agent"), std::string::npos);
-  s.queue.run();  // drain; trails must not disturb correctness
+  s.queue.run();  // drain; tracing must not disturb correctness
   EXPECT_EQ(ctrl.active_agents(), 0u);
   EXPECT_EQ(ctrl.permits_granted(), 2u);
+  std::set<std::uint64_t> hopped;
+  bool waited = false;
+  for (const obs::TraceEvent& e : trace.tail_events(trace.size())) {
+    if (e.kind == obs::EventKind::kAgentHop) hopped.insert(e.a);
+    waited = waited || e.kind == obs::EventKind::kLockWait;
+  }
+  EXPECT_EQ(hopped.size(), 2u);  // both agents' walks are on record
+  EXPECT_TRUE(waited);           // the second queued behind the first
+  EXPECT_EQ(trace.overwritten(), 0u);
 }
 
 TEST(Distributed, CountingOnlyInstanceLeavesTreeAlone) {

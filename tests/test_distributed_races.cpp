@@ -18,7 +18,6 @@
 
 #include "core/distributed_controller.hpp"
 #include "obs/events.hpp"
-#include "sim/trace.hpp"
 #include "tree/validate.hpp"
 #include "workload/shapes.hpp"
 
@@ -31,7 +30,7 @@ struct Sim {
   sim::EventQueue queue;
   sim::Network net;
   DynamicTree tree;
-  sim::Trace trace{256};
+  obs::EventTrace trace{256};
   obs::ScopedTrace trace_scope{trace};
 
   Sim() : net(queue, sim::make_delay(sim::DelayKind::kFixed, 1)) {
@@ -253,10 +252,10 @@ TEST(DistributedRaces, TypedTraceRecordsProtocolEvents) {
   s.queue.run();
 
   std::uint64_t grants = 0, rejects = 0, hops = 0;
-  for (const auto& e : s.trace.tail_entries(256)) {
-    grants += e.event.kind == obs::EventKind::kPermitGranted;
-    rejects += e.event.kind == obs::EventKind::kRequestRejected;
-    hops += e.event.kind == obs::EventKind::kAgentHop;
+  for (const obs::TraceEvent& e : s.trace.tail_events(256)) {
+    grants += e.kind == obs::EventKind::kPermitGranted;
+    rejects += e.kind == obs::EventKind::kRequestRejected;
+    hops += e.kind == obs::EventKind::kAgentHop;
   }
   EXPECT_GE(grants, 3u);  // M=4, W=1: at least M-W grants
   EXPECT_GE(rejects, 1u);

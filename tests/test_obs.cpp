@@ -206,10 +206,10 @@ TEST(EventTrace, RingWrapsKeepingNewest) {
   }
   EXPECT_EQ(trace.recorded(), 10u);
   EXPECT_EQ(trace.size(), 4u);
-  const auto entries = trace.tail_entries(100);
-  ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries.front().event.a, 6u);  // oldest surviving
-  EXPECT_EQ(entries.back().event.a, 9u);   // newest
+  const auto events = trace.tail_events(100);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().a, 6u);  // oldest surviving
+  EXPECT_EQ(events.back().a, 9u);   // newest
 }
 
 TEST(EventTrace, OverwrittenCountsRingEvictions) {
@@ -248,17 +248,17 @@ TEST(EventTrace, EmitIsNoOpWithoutInstallAndWorksWithin) {
   }
   EXPECT_EQ(trace(), nullptr);
   ASSERT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.tail_entries(1)[0].event.kind, EventKind::kPermitGranted);
+  EXPECT_EQ(ring.tail_events(1)[0].kind, EventKind::kPermitGranted);
 }
 
 TEST(EventTrace, FormatAndJsonl) {
   EventTrace trace(8);
   trace.enable(true);
-  trace.record(TraceEvent{EventKind::kText, 3, kNoNode, 0, 0}, "hello");
+  trace.record(TraceEvent{EventKind::kWaveEnd, 3, kNoNode, 0, 0});
   trace.record(TraceEvent{EventKind::kPermitGranted, 4, 7, 9, 1});
   const auto lines = trace.tail(8);
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[t=3] hello");  // legacy string-trace format
+  EXPECT_EQ(lines[0], "[t=3] WaveEnd a=0 b=0");  // no node: field omitted
   EXPECT_NE(lines[1].find("PermitGranted"), std::string::npos);
   EXPECT_NE(lines[1].find("node=7"), std::string::npos);
 

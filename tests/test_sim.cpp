@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event simulator: event ordering, delay
-// policies, network accounting, tracing.
+// policies, network accounting.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "sim/delay.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace dyncon::sim {
@@ -274,48 +273,6 @@ TEST(Network, DeliveryRespectsDelayPolicy) {
   net.send(0, 1, Message::app_payload(1), [&] { delivered_at = q.now(); });
   q.run();
   EXPECT_EQ(delivered_at, 7u);
-}
-
-TEST(Trace, DisabledByDefault) {
-  Trace tr;
-  tr.log(1, "hello");
-  EXPECT_EQ(tr.lines_recorded(), 0u);
-}
-
-TEST(Trace, RecordsAndBounds) {
-  Trace tr(4);
-  tr.enable();
-  for (int i = 0; i < 10; ++i) tr.log(static_cast<SimTime>(i), "line");
-  EXPECT_EQ(tr.lines_recorded(), 10u);
-  EXPECT_EQ(tr.tail(100).size(), 4u);
-  tr.clear();
-  EXPECT_EQ(tr.lines_recorded(), 0u);
-}
-
-TEST(Trace, WraparoundKeepsNewestLines) {
-  Trace tr(3);
-  tr.enable();
-  for (int i = 0; i < 7; ++i) {
-    tr.log(static_cast<SimTime>(i), "line " + std::to_string(i));
-  }
-  const auto lines = tr.tail(10);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "[t=4] line 4");
-  EXPECT_EQ(lines[1], "[t=5] line 5");
-  EXPECT_EQ(lines[2], "[t=6] line 6");
-}
-
-TEST(Trace, MixesTypedEventsWithTextLines) {
-  Trace tr(8);
-  tr.enable();
-  tr.log(1, "text line");
-  tr.event(obs::TraceEvent{obs::EventKind::kPermitGranted, 2, 5, 11, 3});
-  EXPECT_EQ(tr.lines_recorded(), 2u);
-  const auto lines = tr.tail(8);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[t=1] text line");
-  EXPECT_NE(lines[1].find("PermitGranted"), std::string::npos);
-  EXPECT_NE(lines[1].find("node=5"), std::string::npos);
 }
 
 }  // namespace

@@ -376,9 +376,22 @@ TEST(Wire, AppPayloadPaysForEveryOpaqueBit) {
 }
 
 TEST(Wire, DecodeRejectsUnknownTag) {
-  BitWriter w;
-  w.put_bits(static_cast<std::uint64_t>(MsgKind::kKindCount__), 3);
-  EXPECT_THROW((void)Message::decode(w.finish()), ContractError);
+  // Six kinds use tags 0..5 of the 3-bit field; 6 and 7 name no kind and
+  // are rejected, bare or followed by well-formed fields.
+  ASSERT_EQ(static_cast<std::uint64_t>(MsgKind::kKindCount__), 6u);
+  for (std::uint64_t tag = 6; tag < 8; ++tag) {
+    BitWriter bare;
+    bare.put_bits(tag, kMsgTagBits);
+    EXPECT_THROW((void)Message::decode(bare.finish()), ContractError)
+        << "tag " << tag;
+    BitWriter body;
+    body.put_bits(tag, kMsgTagBits);
+    body.put_gamma(1);
+    body.put_gamma(3);
+    body.put_bits(static_cast<std::uint64_t>(MsgKind::kReject), kMsgTagBits);
+    EXPECT_THROW((void)Message::decode(body.finish()), ContractError)
+        << "tag " << tag;
+  }
 }
 
 TEST(Wire, DecodeRejectsTrailingBits) {
@@ -598,20 +611,6 @@ TEST(Wire, EncodedBitsMatchesEncodeForEveryKindFuzzed) {
             : Message::app_value(AppTopic::kReport, fuzz_value(rng));
     cover(Message::channel_data(fuzz_gamma(rng), inner));
     cover(Message::channel_ack(fuzz_gamma(rng)));
-    // Batch frames: 1..5 random non-batch payloads back to back (the count
-    // prefix and every per-payload length prefix must count bit-exactly).
-    std::vector<Encoded> payloads;
-    const std::uint64_t n = rng.uniform(1, 5);
-    for (std::uint64_t p = 0; p < n; ++p) {
-      payloads.push_back(
-          rng.chance(0.5)
-              ? Message::agent_hop(fuzz_value(rng), fuzz_gamma(rng),
-                                   fuzz_gamma(rng), 1, 1, false)
-                    .encode()
-              : Message::control(ControlTopic::kBroadcast, fuzz_gamma(rng))
-                    .encode());
-    }
-    cover(Message::batch_frame(std::move(payloads)));
   }
   for (std::size_t k = 0; k < static_cast<std::size_t>(MsgKind::kKindCount__);
        ++k) {

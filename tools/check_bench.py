@@ -153,13 +153,11 @@ def main() -> None:
 
     tol = args.tolerance
     for name, expected in sorted(base["gauges"].items()):
-        if name.startswith(("perf.parallel.", "perf.forest.", "perf.batch.",
-                            "perf.mem.")):
+        if name.startswith(("perf.parallel.", "perf.forest.", "perf.mem.")):
             continue  # machine- or knob-dependent; checked within the
-            # current report (check_report.py validates perf.batch.*
-            # arithmetic and the perf.mem.* family's internal consistency;
-            # their values follow --no-batch/--batch-window/--resident-trees
-            # and the host's allocator)
+            # current report (check_report.py validates the perf.mem.*
+            # family's internal consistency; its values follow
+            # --resident-trees and the host's allocator)
         actual = cur["gauges"].get(name)
         if actual is None:
             errors.append(f"gauge {name} missing from current report")

@@ -13,9 +13,7 @@ replays by restarts, surfaced failures by killed agents — plus exp21's
 per-point permit accounting), the perf.* family written by
 bench/perf_suite (rates positive, percentiles ordered, per-phase event
 counts summing to the total), the perf.parallel.* scaling family (speedup
-gauge consistent with the per-jobs throughputs), the perf.batch.* batching
-economics (coalesced messages bounded by accounted messages, cache hits by
-lookups, frame-size histogram conserving the frame count), the forest.* /
+gauge consistent with the per-jobs throughputs), the forest.* /
 perf.forest.* family written by the sharded forest runtime and
 bench/exp19_forest_scaling (outcome and op-mix counters partitioning the
 request total, speedups consistent with the per-shard-count rates), and —
@@ -180,7 +178,6 @@ def check_perf_family(path: str, counters: dict, gauges: dict) -> None:
             fail(f"{path}: per-phase perf.<phase>.events sum to "
                  f"{phase_events} but perf.events = {total}")
     check_parallel_family(path, perf_counters, perf_gauges)
-    check_batch_family(path, counters, perf_gauges)
     if suite_gauges:
         print(f"check_report: perf family ok "
               f"({perf_gauges['perf.events_per_sec']:.0f} events/sec, "
@@ -215,55 +212,6 @@ def check_parallel_family(path: str, counters: dict, gauges: dict) -> None:
         if not isinstance(value, int) or value <= 0:
             fail(f"{path}: counter '{name}' = {value!r} is not a "
                  f"positive integer")
-
-
-def check_batch_family(path: str, counters: dict, gauges: dict) -> None:
-    """Internal arithmetic of the perf.batch.* gauges (PR 9's batch-layer
-    economics).  These are deliberately absent from the cross-report
-    baseline diff — their values follow the --no-batch / --batch-window
-    knobs — so the consistency gate lives here instead: every coalesced
-    message is an accounted message, every cache hit was a lookup, and
-    the frame-size histogram conserves the frame count.  (frame_bits is
-    always >= member_bits — the frame adds a tag, a count prefix, and
-    per-payload length prefixes on top of the members — so that is the
-    direction checked; asserting the saving itself would be wrong.)"""
-    bat = {k: v for k, v in gauges.items() if k.startswith("perf.batch.")}
-    if not bat:
-        return  # not a batching report (or --no-batch with nothing fired)
-    get = lambda name: bat.get("perf.batch." + name, 0.0)
-    frames = get("frames")
-    batched = get("batched_msgs")
-    if batched > counters.get("net.messages", 0):
-        fail(f"{path}: perf.batch.batched_msgs = {batched:.0f} exceeds "
-             f"net.messages = {counters.get('net.messages', 0)} (a frame "
-             f"member that was never charged as a message)")
-    if frames > 0 and batched < 2 * frames:
-        fail(f"{path}: perf.batch.batched_msgs = {batched:.0f} but "
-             f"perf.batch.frames = {frames:.0f}: lazy opening guarantees "
-             f">= 2 members per frame")
-    if frames > 0 and get("frame_bits") < get("member_bits"):
-        fail(f"{path}: perf.batch.frame_bits = {get('frame_bits'):.0f} "
-             f"below member_bits = {get('member_bits'):.0f} (the frame "
-             f"header cannot have negative size)")
-    buckets = sum(v for k, v in bat.items()
-                  if k.startswith("perf.batch.msgs_per_frame_w"))
-    if buckets != frames:
-        fail(f"{path}: perf.batch.msgs_per_frame_w* buckets sum to "
-             f"{buckets:.0f} but perf.batch.frames = {frames:.0f} "
-             f"(frame-size histogram lost or double-counted a frame)")
-    hits, lookups = get("cache_hits"), get("cache_lookups")
-    if hits > lookups:
-        fail(f"{path}: perf.batch.cache_hits = {hits:.0f} exceeds "
-             f"cache_lookups = {lookups:.0f}")
-    if lookups > 0:
-        derived = hits / lookups
-        rate = get("cache_hit_rate")
-        if abs(rate - derived) > 1e-6:
-            fail(f"{path}: perf.batch.cache_hit_rate = {rate:.6f} but "
-                 f"hits/lookups = {derived:.6f}")
-    print(f"check_report: batch family ok ({frames:.0f} frames / "
-          f"{batched:.0f} msgs coalesced, cache hit rate "
-          f"{get('cache_hit_rate'):.3f})")
 
 
 def check_forest_family(path: str, counters: dict, gauges: dict) -> None:

@@ -51,7 +51,6 @@
 #include "sim/channel.hpp"
 #include "sim/crash.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 #include "sim/watchdog.hpp"
 #include "tree/validate.hpp"
 #include "util/cli.hpp"
@@ -141,7 +140,8 @@ Config roll(std::uint64_t seed, double crash_rate) {
 /// Returns an empty string on success, a description on failure.  The
 /// caller's registry and trace are installed for the duration, so a failing
 /// run leaves behind its full metrics snapshot and typed event tail.
-std::string run_one(const Config& c, obs::Registry& reg, sim::Trace& trace) {
+std::string run_one(const Config& c, obs::Registry& reg,
+                    obs::EventTrace& trace) {
   obs::ScopedMetrics metrics_scope(reg);
   obs::ScopedTrace trace_scope(trace);
   Rng rng(c.seed);
@@ -257,7 +257,7 @@ std::string run_one(const Config& c, obs::Registry& reg, sim::Trace& trace) {
 std::optional<std::string> audit_seed(std::uint64_t seed, double crash_rate) {
   const Config c = roll(seed, crash_rate);
   obs::Registry reg;
-  sim::Trace trace(512);
+  obs::EventTrace trace(512);
   trace.enable(true);
   std::string failure;
   try {
