@@ -220,10 +220,7 @@ void BM_TreeSlabAcquireReleaseAllocs(benchmark::State& state) {
   // The forest's per-tree arena: a hibernation cycle is release -> (later)
   // acquire, and the slab machinery itself — free-list pop/push, in-place
   // slot reset — must be allocation-free once the first chunk exists.
-  // (Rebuilding a woken tree's topology is the wake path's cost, priced by
-  // the engine's hibernation counters and amortized by the residency
-  // budget; the engine's own steady-state gate measures the no-eviction
-  // loop, where no slab call happens at all.)
+  // (Rebuilding the slot's tree is gated by BM_TreeRebuildAllocs.)
   forest::TreeSlab slab;
   for (int i = 0; i < 256; ++i) {  // warm up: first chunk + free list
     slab.release(slab.acquire());
@@ -245,6 +242,60 @@ void BM_TreeSlabAcquireReleaseAllocs(benchmark::State& state) {
   check_steady_state_allocs("TreeSlab::acquire/release", per_op);
 }
 BENCHMARK(BM_TreeSlabAcquireReleaseAllocs);
+
+void BM_TreeRebuildAllocs(benchmark::State& state) {
+  // The forest's wake path on a recycled slot: release -> acquire -> the
+  // seeded 48-node build -> replay of an image whose id space holds grown
+  // leaves and dead ids.  The slot's tree keeps its node storage across
+  // reset_to_root() and ports are computed, not stored, so once the slot
+  // has held this tree the rebuild must not touch the allocator.
+  constexpr std::uint64_t kTreeSize = 48;
+  constexpr std::uint64_t kBuildSeed = 0x5eed5eedULL;
+  forest::TreeImage img;
+  {
+    tree::DynamicTree t;
+    Rng build_rng(kBuildSeed);
+    forest::build_initial_topology(t, build_rng, kTreeSize);
+    std::vector<NodeId> grown;
+    for (NodeId i = 0; i < 24; ++i) {
+      const NodeId u = t.add_leaf(i * 5 % kTreeSize);
+      if (i % 3 == 2) {
+        t.remove_leaf(u);  // a dead id the replay must burn
+      } else {
+        grown.push_back(u);
+      }
+    }
+    forest::capture_tree_image(img, t, nullptr, build_rng, grown,
+                               grown.size());
+  }
+  forest::TreeSlab slab;
+  std::uint32_t slot = slab.acquire();
+  auto rebuild = [&] {
+    slab.release(slot);
+    slot = slab.acquire();
+    tree::DynamicTree& t = slab.at(slot).tree;
+    Rng build_rng(kBuildSeed);
+    forest::build_initial_topology(t, build_rng, kTreeSize);
+    forest::replay_grown_nodes(t, img);
+    return t.size();
+  };
+  for (int i = 0; i < 4; ++i) rebuild();  // warm up: size the kept nodes
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t ops = 0;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    sink += rebuild();
+    ++ops;
+  }
+  benchmark::DoNotOptimize(sink);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const double per_op =
+      ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
+  state.counters["allocs_per_op"] = per_op;
+  check_steady_state_allocs("build_initial_topology/replay_grown_nodes",
+                            per_op);
+}
+BENCHMARK(BM_TreeRebuildAllocs);
 
 void BM_HibernateEncodeAllocs(benchmark::State& state) {
   // Hibernating a tree encodes its TreeImage into a recycled byte buffer

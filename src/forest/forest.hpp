@@ -50,7 +50,10 @@
 // engine buffers (outboxes, inboxes, sort scratch) retain capacity across
 // windows, and actions fit InlineFn's inline storage.  exp19's echo phase
 // measures this with the operator-new counter (using --eager so one-time
-// materialization stays out of the measured loop).
+// materialization stays out of the measured loop).  On the cold path,
+// rebuilding a tree (materialize, wake) allocates nothing once warm: it
+// reuses a recycled slab slot whose tree kept its node storage, and port
+// numbers are computed from the links rather than stored.
 
 #include <cstdint>
 #include <memory>

@@ -18,8 +18,8 @@
 // in id order, which is their chronological order; dead ids pass through as
 // attach-then-detach fillers that leave sibling order untouched), so a
 // post-wake reject wave walks the same BFS order it would have originally.
-// Port numbers may differ after a wake — nothing on the forest path reads
-// ports, and the controller walks parent chains only.
+// Port numbers come back identical too: they are computed from the links
+// (tree/ports.hpp), and the links are reproduced exactly.
 
 #include <cstdint>
 #include <utility>

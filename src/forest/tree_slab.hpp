@@ -9,9 +9,11 @@
 // resident.  Slots live in fixed-size chunks with stable addresses
 // (CentralizedController holds a reference to its tree and is neither
 // copyable nor movable, so slot memory must never move), and releasing a
-// slot recycles it in place: the node array and port tables keep their
-// capacity, so an acquire/release cycle in steady state allocates nothing
-// (bench/micro_structures BM_TreeSlabAcquireReleaseAllocs gates this).
+// slot recycles it in place: the tree keeps every node and its child-list
+// capacity (DynamicTree::reset_to_root), so an acquire/release cycle
+// allocates nothing, and rebuilding a tree allocates only where it
+// outgrows what the slot's tree held before (bench/micro_structures
+// BM_TreeSlabAcquireReleaseAllocs and BM_TreeRebuildAllocs gate this).
 
 #include <array>
 #include <cstdint>
@@ -57,7 +59,7 @@ class TreeSlab {
   }
 
   /// Return a slot to the free list, resetting its contents in place.  The
-  /// tree's node/port storage and the grown vector keep their capacity —
+  /// tree's node storage and the grown vector keep their capacity —
   /// that retained capacity is bounded by the residency budget times the
   /// per-tree cap, and it is what makes the cycle allocation-free.
   void release(std::uint32_t slot) {

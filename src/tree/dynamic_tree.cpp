@@ -6,11 +6,6 @@
 
 namespace dyncon::tree {
 
-DynamicTree::DynamicTree(PortAssigner ports) : ports_(std::move(ports)) {
-  nodes_.push_back(Node{});  // the root, id 0
-  alive_count_ = 1;
-}
-
 DynamicTree DynamicTree::from_structure(
     const std::vector<std::pair<NodeId, NodeId>>& parent_of) {
   DYNCON_REQUIRE(!parent_of.empty(), "from_structure: empty node list");
@@ -22,6 +17,7 @@ DynamicTree DynamicTree::from_structure(
   // Lay out the id space: everything starts dead, then the listed nodes
   // come alive with their parents.
   t.nodes_.assign(static_cast<std::size_t>(max_id) + 1, Node{});
+  t.minted_ = max_id + 1;
   for (auto& n : t.nodes_) n.alive = false;
   t.alive_count_ = 0;
   bool saw_root = false;
@@ -43,8 +39,6 @@ DynamicTree DynamicTree::from_structure(
                        t.nodes_[static_cast<std::size_t>(parent)].alive,
                    "from_structure: parent not in the node list");
     t.nodes_[static_cast<std::size_t>(parent)].children.push_back(id);
-    t.ports_.attach(parent, id);
-    t.ports_.attach(id, parent);
   }
   // Reject cyclic/disconnected inputs: every alive node must be reachable.
   std::uint64_t reachable = 0;
@@ -65,17 +59,26 @@ DynamicTree DynamicTree::from_structure(
 }
 
 const DynamicTree::Node& DynamicTree::node(NodeId v) const {
-  DYNCON_REQUIRE(v < nodes_.size(), "unknown node id");
+  DYNCON_REQUIRE(v < minted_, "unknown node id");
   return nodes_[static_cast<std::size_t>(v)];
 }
 
 DynamicTree::Node& DynamicTree::node(NodeId v) {
-  DYNCON_REQUIRE(v < nodes_.size(), "unknown node id");
+  DYNCON_REQUIRE(v < minted_, "unknown node id");
   return nodes_[static_cast<std::size_t>(v)];
 }
 
+DynamicTree::Node& DynamicTree::mint(NodeId parent) {
+  if (minted_ == nodes_.size()) nodes_.emplace_back();
+  Node& n = nodes_[static_cast<std::size_t>(minted_++)];
+  n.parent = parent;
+  n.children.clear();
+  n.alive = true;
+  return n;
+}
+
 bool DynamicTree::alive(NodeId v) const {
-  return v < nodes_.size() && nodes_[static_cast<std::size_t>(v)].alive;
+  return v < minted_ && nodes_[static_cast<std::size_t>(v)].alive;
 }
 
 NodeId DynamicTree::parent(NodeId v) const {
@@ -98,7 +101,7 @@ std::uint64_t DynamicTree::depth(NodeId v) const {
   std::uint64_t d = 0;
   for (NodeId cur = v; cur != root_; cur = node(cur).parent) {
     ++d;
-    DYNCON_INVARIANT(d <= nodes_.size(), "cycle in parent chain");
+    DYNCON_INVARIANT(d <= minted_, "cycle in parent chain");
   }
   return d;
 }
@@ -136,12 +139,10 @@ std::vector<NodeId> DynamicTree::alive_nodes() const {
 
 NodeId DynamicTree::add_leaf(NodeId p) {
   DYNCON_REQUIRE(alive(p), "add_leaf: parent not alive");
-  const NodeId u = nodes_.size();
-  nodes_.push_back(Node{p, {}, true});
+  const NodeId u = minted_;
+  mint(p);
   node(p).children.push_back(u);
   ++alive_count_;
-  ports_.attach(p, u);
-  ports_.attach(u, p);
   for (auto* obs : observers_) obs->on_add_leaf(u, p);
   return u;
 }
@@ -161,8 +162,6 @@ void DynamicTree::remove_leaf(NodeId v) {
   detach_from_parent(v);
   node(v).alive = false;
   --alive_count_;
-  ports_.detach(p, v);
-  ports_.drop_node(v);
   for (auto* obs : observers_) obs->on_remove_leaf(v, p);
 }
 
@@ -170,8 +169,8 @@ NodeId DynamicTree::add_internal_above(NodeId child) {
   DYNCON_REQUIRE(alive(child), "add_internal_above: child not alive");
   DYNCON_REQUIRE(child != root_, "cannot insert above the root");
   const NodeId p = node(child).parent;
-  const NodeId u = nodes_.size();
-  nodes_.push_back(Node{p, {child}, true});
+  const NodeId u = minted_;
+  mint(p).children.push_back(child);
   // Replace `child` by `u` in p's child list (preserving position).
   Node& pn = node(p);
   auto it = std::find(pn.children.begin(), pn.children.end(), child);
@@ -179,12 +178,6 @@ NodeId DynamicTree::add_internal_above(NodeId child) {
   *it = u;
   node(child).parent = u;
   ++alive_count_;
-  ports_.detach(p, child);
-  ports_.detach(child, p);
-  ports_.attach(p, u);
-  ports_.attach(u, p);
-  ports_.attach(u, child);
-  ports_.attach(child, u);
   for (auto* obs : observers_) obs->on_add_internal(u, p, child);
   return u;
 }
@@ -200,15 +193,10 @@ void DynamicTree::remove_internal(NodeId v) {
   for (NodeId c : kids) {
     node(c).parent = p;
     node(p).children.push_back(c);
-    ports_.detach(c, v);
-    ports_.attach(c, p);
-    ports_.attach(p, c);
   }
   node(v).children.clear();
   node(v).alive = false;
   --alive_count_;
-  ports_.detach(p, v);
-  ports_.drop_node(v);
   for (auto* obs : observers_) obs->on_remove_internal(v, p, kids);
 }
 
@@ -221,29 +209,18 @@ void DynamicTree::remove_node(NodeId v) {
   }
 }
 
-void DynamicTree::reserve_nodes(std::size_t n) {
-  nodes_.reserve(n);
-  ports_.reserve_nodes(n);
-}
-
-void DynamicTree::shrink_to_fit() {
-  nodes_.shrink_to_fit();
-  ports_.shrink_to_fit();
-}
-
 void DynamicTree::reset_to_root() {
   DYNCON_REQUIRE(observers_.empty(),
                  "reset_to_root with observers still registered");
-  nodes_.clear();
-  nodes_.push_back(Node{});
+  minted_ = 0;
+  mint(kNoNode);  // the root, id 0
   alive_count_ = 1;
-  ports_.reset();
 }
 
 std::uint64_t DynamicTree::approx_bytes() const {
   std::uint64_t bytes = nodes_.capacity() * sizeof(Node);
   for (const Node& n : nodes_) bytes += n.children.capacity() * sizeof(NodeId);
-  return bytes + ports_.approx_bytes();
+  return bytes;
 }
 
 void DynamicTree::add_observer(TreeObserver* obs) {

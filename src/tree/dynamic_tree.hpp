@@ -12,6 +12,8 @@
 //
 // Node ids are permanent (never reused), so `total_ever()` is the paper's
 // U-accounting quantity "nodes ever to exist, including deleted ones".
+// `reset_to_root()` rewinds the id counter but keeps every node's storage,
+// so a recycled tree rebuilds into memory it already owns.
 // Observers are notified after each change — that is how the agent layer
 // implements the "graceful" deletion contract (whiteboard data moves to the
 // parent) without this structure knowing about protocol state.
@@ -44,7 +46,7 @@ class DynamicTree {
  public:
   /// Create a tree with a single root node (id 0).  The root is never
   /// deleted (paper assumption).
-  explicit DynamicTree(PortAssigner ports = PortAssigner{});
+  DynamicTree() { reset_to_root(); }
 
   /// Build a tree with exactly the given alive nodes: `parent_of` lists
   /// (id, parent-id) pairs, the root as (0, kNoNode).  Ids absent from the
@@ -63,7 +65,7 @@ class DynamicTree {
   [[nodiscard]] bool is_leaf(NodeId v) const;
   [[nodiscard]] std::uint64_t size() const { return alive_count_; }
   /// Nodes ever created, including deleted ones (the paper's U-quantity).
-  [[nodiscard]] std::uint64_t total_ever() const { return nodes_.size(); }
+  [[nodiscard]] std::uint64_t total_ever() const { return minted_; }
 
   /// Hop distance from v to the root (walks the parent chain; O(depth)).
   [[nodiscard]] std::uint64_t depth(NodeId v) const;
@@ -78,8 +80,8 @@ class DynamicTree {
   /// All currently alive node ids (root first, BFS order).
   [[nodiscard]] std::vector<NodeId> alive_nodes() const;
 
-  /// Port bookkeeping (adversarially numbered; see ports.hpp).
-  [[nodiscard]] const PortAssigner& ports() const { return ports_; }
+  /// Port numbers, computed from the current links (see ports.hpp).
+  [[nodiscard]] PortAssigner ports() const { return PortAssigner(*this); }
 
   // ---- controlled topological changes -------------------------------------
 
@@ -104,20 +106,19 @@ class DynamicTree {
 
   /// Reserve node storage for `n` ids up front (skips the doubling walk
   /// when the final size is known, e.g. a forest tree's initial build).
-  void reserve_nodes(std::size_t n);
+  void reserve_nodes(std::size_t n) { nodes_.reserve(n); }
 
-  /// Trim node/port storage capacity to size — the small-tree common case
-  /// pays for exactly the nodes it has.
-  void shrink_to_fit();
-
-  /// Rewind to the single-root state of a freshly constructed tree while
-  /// keeping `nodes_` / port-table capacity (slab-recycled trees rebuild
-  /// into the same storage without reallocating it).  Requires that no
+  /// Rewind to the single-root state of a freshly constructed tree.  Every
+  /// node past the root is kept, child-list capacity included, and the
+  /// next add_leaf / add_internal_above reuses it: a slab-recycled tree
+  /// rebuilds without allocating unless it outgrows that storage (more ids,
+  /// or more children at an id, than it held before).  Requires that no
   /// observers are registered: a recycled identity would dangle them.
   void reset_to_root();
 
-  /// Rough heap footprint in bytes (node array, child lists, port tables);
-  /// an accounting estimate for `perf.mem.*`, not an allocator truth.
+  /// Rough heap footprint in bytes: the node array and every child list,
+  /// including the nodes kept past total_ever() by reset_to_root(); an
+  /// accounting estimate for `perf.mem.*`, not an allocator truth.
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   // ---- observers -----------------------------------------------------------
@@ -134,12 +135,16 @@ class DynamicTree {
 
   [[nodiscard]] const Node& node(NodeId v) const;
   [[nodiscard]] Node& node(NodeId v);
+  /// Claim the next id as an alive, childless node under `parent`, reusing
+  /// kept storage when there is some.  May grow (and so move) `nodes_`.
+  Node& mint(NodeId parent);
   void detach_from_parent(NodeId v);
 
+  /// Ids [0, minted_) are the tree's; entries past them are kept storage.
   std::vector<Node> nodes_;
+  std::uint64_t minted_ = 0;
   NodeId root_ = 0;
   std::uint64_t alive_count_ = 0;
-  PortAssigner ports_;
   std::vector<TreeObserver*> observers_;
 };
 

@@ -1,80 +1,76 @@
 #include "tree/ports.hpp"
 
+#include <cstdint>
+
+#include "tree/dynamic_tree.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::tree {
 
-void PortAssigner::reset() {
-  tables_.clear();
-  rng_ = Rng(seed_);
+namespace {
+
+// MurmurHash3's 64-bit finalizer and its inverse.  Each step (xor-shift by
+// >= 32 bits, multiply by an odd constant) is invertible, so the whole mix
+// is a bijection on 64-bit words.
+constexpr std::uint64_t kMul1 = 0xff51afd7ed558ccdULL;
+constexpr std::uint64_t kMul2 = 0xc4ceb9fe1a85ec53ULL;
+constexpr std::uint64_t kKey = 0xdecafbadULL;
+
+/// Multiplicative inverse of odd `a` modulo 2^64 (Newton: each step doubles
+/// the correct low bits, starting from 3).
+constexpr std::uint64_t inverse(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+static_assert(kMul1 * inverse(kMul1) == 1 && kMul2 * inverse(kMul2) == 1);
+
+constexpr std::uint64_t mix(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= kMul1;
+  k ^= k >> 33;
+  k *= kMul2;
+  k ^= k >> 33;
+  return k;
 }
 
-std::uint64_t PortAssigner::approx_bytes() const {
-  std::uint64_t bytes = tables_.capacity() * sizeof(Table);
-  for (const Table& t : tables_) {
-    // Per map: one pointer-ish slot per bucket plus a node per element
-    // (key/value pair and two link/hash words) — libstdc++-shaped estimate.
-    bytes += (t.by_port.bucket_count() + t.by_neighbor.bucket_count()) *
-             sizeof(void*);
-    bytes += t.by_port.size() * (sizeof(PortId) + sizeof(NodeId) + 16);
-    bytes += t.by_neighbor.size() * (sizeof(NodeId) + sizeof(PortId) + 16);
-  }
-  return bytes;
+constexpr std::uint64_t unmix(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= inverse(kMul2);
+  k ^= k >> 33;
+  k *= inverse(kMul1);
+  k ^= k >> 33;
+  return k;
 }
+static_assert(unmix(mix(0x0123456789abcdefULL)) == 0x0123456789abcdefULL);
 
-PortId PortAssigner::attach(NodeId node, NodeId neighbor) {
-  if (node >= tables_.size()) tables_.resize(node + 1);
-  Table& t = tables_[node];
-  DYNCON_REQUIRE(!t.by_neighbor.contains(neighbor),
-                 "port to this neighbor already exists");
-  // Adversarial-looking port id; retry on the (rare) per-node collision.
-  PortId p;
-  do {
-    p = rng_.next();
-  } while (t.by_port.contains(p));
-  t.by_port.emplace(p, neighbor);
-  t.by_neighbor.emplace(neighbor, p);
-  return p;
-}
+/// Per-node offset: w -> w + offset(v) is a bijection for each v, and so is
+/// its composition with mix().
+constexpr std::uint64_t offset(NodeId node) { return mix(node ^ kKey); }
 
-void PortAssigner::detach(NodeId node, NodeId neighbor) {
-  Table* t = table(node);
-  if (t == nullptr) return;
-  auto nit = t->by_neighbor.find(neighbor);
-  if (nit == t->by_neighbor.end()) return;
-  t->by_port.erase(nit->second);
-  t->by_neighbor.erase(nit);
-}
-
-void PortAssigner::drop_node(NodeId node) {
-  // Ids are permanent, so the slot never comes back: release its storage.
-  if (Table* t = table(node)) *t = Table{};
-}
+}  // namespace
 
 bool PortAssigner::has_port(NodeId node, NodeId neighbor) const {
-  const Table* t = table(node);
-  return t != nullptr && t->by_neighbor.contains(neighbor);
+  const DynamicTree& t = *tree_;
+  return t.alive(node) && t.alive(neighbor) &&
+         (t.parent(node) == neighbor || t.parent(neighbor) == node);
 }
 
 PortId PortAssigner::port_to(NodeId node, NodeId neighbor) const {
-  const Table* t = table(node);
-  DYNCON_REQUIRE(t != nullptr, "node has no ports");
-  auto nit = t->by_neighbor.find(neighbor);
-  DYNCON_REQUIRE(nit != t->by_neighbor.end(), "no port to neighbor");
-  return nit->second;
+  DYNCON_REQUIRE(has_port(node, neighbor), "no port to neighbor");
+  return mix(neighbor + offset(node));
 }
 
 NodeId PortAssigner::neighbor_at(NodeId node, PortId port) const {
-  const Table* t = table(node);
-  DYNCON_REQUIRE(t != nullptr, "node has no ports");
-  auto pit = t->by_port.find(port);
-  DYNCON_REQUIRE(pit != t->by_port.end(), "no such port");
-  return pit->second;
+  const NodeId neighbor = unmix(port) - offset(node);
+  DYNCON_REQUIRE(has_port(node, neighbor), "no such port");
+  return neighbor;
 }
 
 std::size_t PortAssigner::degree(NodeId node) const {
-  const Table* t = table(node);
-  return t == nullptr ? 0 : t->by_port.size();
+  const DynamicTree& t = *tree_;
+  if (!t.alive(node)) return 0;
+  return t.children(node).size() + (node == t.root() ? 0u : 1u);
 }
 
 }  // namespace dyncon::tree

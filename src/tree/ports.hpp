@@ -5,73 +5,40 @@
 // "We assume the relatively wasteful model in which the port numbers are
 //  assigned by an adversary ... encoded using O(log N) bits."
 //
-// The assigner hands out arbitrary-looking (but deterministic) port numbers
-// that are unique per node; nothing in the protocols may rely on ports being
-// small or consecutive, and tests assert per-node uniqueness.
+// Ports are computed from the tree's own links, never stored: the port at
+// node v leading to neighbor w is a fixed keyed 64-bit mix of (v, w) that is
+// a bijection in w for each v.  Distinct neighbors of a node therefore get
+// distinct ports, a port inverts back to its neighbor in O(1), and a
+// topology change re-numbers nothing and allocates nothing.  The numbers
+// look arbitrary on purpose: nothing in the protocols may rely on ports
+// being small or consecutive, and tests assert per-node uniqueness.
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <cstddef>
 
 #include "util/ids.hpp"
-#include "util/rng.hpp"
 
 namespace dyncon::tree {
 
-/// Per-node port table: port -> neighbor and neighbor -> port.
+class DynamicTree;
+
+/// Read-only view of a tree's port numbers (see DynamicTree::ports()).
+/// Holds only a pointer to the tree, so it is valid while the tree lives;
+/// every query reflects the tree's current links.
 class PortAssigner {
  public:
-  explicit PortAssigner(std::uint64_t seed = 0xdecafbadULL)
-      : rng_(seed), seed_(seed) {}
+  explicit PortAssigner(const DynamicTree& t) : tree_(&t) {}
 
-  /// Forget every port and rewind the adversary to its construction seed,
-  /// keeping the outer table array's capacity (slab-recycled trees reuse
-  /// it).  Equivalent to `*this = PortAssigner(seed)` minus the free.
-  void reset();
-
-  /// Reserve outer-table capacity for `nodes` node ids.
-  void reserve_nodes(std::size_t nodes) { tables_.reserve(nodes); }
-
-  /// Trim outer-table capacity to size (small-tree common case).
-  void shrink_to_fit() { tables_.shrink_to_fit(); }
-
-  /// Rough heap footprint in bytes (tables plus hash-map nodes/buckets);
-  /// an accounting estimate for `perf.mem.*`, not an allocator truth.
-  [[nodiscard]] std::uint64_t approx_bytes() const;
-
-  /// Assign a fresh port at `node` leading to `neighbor`.
-  PortId attach(NodeId node, NodeId neighbor);
-
-  /// Remove the port at `node` leading to `neighbor` (edge deleted).
-  void detach(NodeId node, NodeId neighbor);
-
-  /// Drop all ports of a deleted node.
-  void drop_node(NodeId node);
-
+  /// True iff (node, neighbor) is a tree edge, i.e. node has a port to it.
   [[nodiscard]] bool has_port(NodeId node, NodeId neighbor) const;
+  /// The port at `node` leading to `neighbor`; requires a tree edge.
   [[nodiscard]] PortId port_to(NodeId node, NodeId neighbor) const;
+  /// The neighbor behind `port` at `node`; requires a port of `node`.
   [[nodiscard]] NodeId neighbor_at(NodeId node, PortId port) const;
+  /// Number of ports at `node` (its tree degree; 0 for a dead id).
   [[nodiscard]] std::size_t degree(NodeId node) const;
 
  private:
-  struct Table {
-    std::unordered_map<PortId, NodeId> by_port;
-    std::unordered_map<NodeId, PortId> by_neighbor;
-  };
-  /// Indexed by NodeId — node ids are dense (DynamicTree allocates them
-  /// sequentially and never reuses them), so the per-node table is two
-  /// array loads instead of a hash probe, and growing the topology never
-  /// rehashes an outer map that is thousands of nodes wide.
-  std::vector<Table> tables_;
-  Rng rng_;
-  std::uint64_t seed_;
-
-  Table* table(NodeId node) {
-    return node < tables_.size() ? &tables_[node] : nullptr;
-  }
-  [[nodiscard]] const Table* table(NodeId node) const {
-    return node < tables_.size() ? &tables_[node] : nullptr;
-  }
+  const DynamicTree* tree_;
 };
 
 }  // namespace dyncon::tree

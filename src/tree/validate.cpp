@@ -1,6 +1,8 @@
 #include "tree/validate.hpp"
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 namespace dyncon::tree {
 
@@ -20,7 +22,10 @@ ValidationResult validate(const DynamicTree& t) {
                 ") != reachable nodes (" + std::to_string(nodes.size()) + ")");
   }
 
+  const PortAssigner ports = t.ports();
   std::unordered_set<NodeId> seen;
+  std::vector<NodeId> neighbors;
+  std::vector<PortId> node_ports;
   for (NodeId v : nodes) {
     if (!t.alive(v)) return fail("BFS reached dead node " + std::to_string(v));
     if (!seen.insert(v).second) {
@@ -37,7 +42,7 @@ ValidationResult validate(const DynamicTree& t) {
                     " missing from parent's child list");
       }
       // Port symmetry along the tree edge.
-      if (!t.ports().has_port(v, p) || !t.ports().has_port(p, v)) {
+      if (!ports.has_port(v, p) || !ports.has_port(p, v)) {
         return fail("missing port on tree edge " + std::to_string(p) + "-" +
                     std::to_string(v));
       }
@@ -51,13 +56,30 @@ ValidationResult validate(const DynamicTree& t) {
         return fail("child " + std::to_string(c) + " has wrong parent");
       }
     }
-    // Port table round-trips.
+    // Ports: one per tree edge, distinct at v, each leading back to its
+    // neighbor.
     const std::size_t deg =
         t.children(v).size() + (v == t.root() ? 0u : 1u);
-    if (t.ports().degree(v) != deg) {
+    if (ports.degree(v) != deg) {
       return fail("port degree mismatch at " + std::to_string(v) + ": " +
-                  std::to_string(t.ports().degree(v)) + " vs " +
+                  std::to_string(ports.degree(v)) + " vs " +
                   std::to_string(deg));
+    }
+    neighbors.assign(t.children(v).begin(), t.children(v).end());
+    if (v != t.root()) neighbors.push_back(t.parent(v));
+    node_ports.clear();
+    for (NodeId w : neighbors) {
+      const PortId port = ports.port_to(v, w);
+      if (ports.neighbor_at(v, port) != w) {
+        return fail("port at " + std::to_string(v) +
+                    " does not lead back to " + std::to_string(w));
+      }
+      node_ports.push_back(port);
+    }
+    std::sort(node_ports.begin(), node_ports.end());
+    if (std::adjacent_find(node_ports.begin(), node_ports.end()) !=
+        node_ports.end()) {
+      return fail("duplicate port at " + std::to_string(v));
     }
   }
   return ValidationResult{};

@@ -20,7 +20,8 @@ struct ValidationResult {
 };
 
 /// Full structural check: parent/child symmetry, acyclicity, connectivity,
-/// alive-count consistency, port-table symmetry and per-node uniqueness.
+/// alive-count consistency, and ports: one per tree edge at each end, each
+/// leading back to its neighbor, unique per node.
 [[nodiscard]] ValidationResult validate(const DynamicTree& t);
 
 }  // namespace dyncon::tree

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tree/dynamic_tree.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
@@ -197,6 +199,132 @@ TEST(DynamicTree, RandomizedChurnKeepsStructureValid) {
     }
     const auto res = validate(t);
     ASSERT_TRUE(res.ok()) << "step " << step << ": " << res.detail;
+  }
+}
+
+// reset_to_root() keeps every node (and its child-list capacity) for reuse;
+// a tree grown larger and then reset must be indistinguishable from a fresh
+// one under any sequence of the four controlled changes.
+TEST(DynamicTree, ResetTreeBehavesLikeFreshTree) {
+  Rng rng(2024);
+  DynamicTree recycled;
+  for (int round = 0; round < 4; ++round) {
+    // Grow past anything the sequence below mints, with internal inserts so
+    // kept nodes carry stale children and child-list capacity.
+    for (int i = 0; i < 600; ++i) {
+      const auto v = static_cast<NodeId>(
+          rng.index(static_cast<std::size_t>(recycled.total_ever())));
+      if (!recycled.alive(v)) continue;
+      if (v != recycled.root() && rng.uniform(0, 2) == 0) {
+        recycled.add_internal_above(v);
+      } else {
+        recycled.add_leaf(v);
+      }
+    }
+    // The kept nodes still occupy memory, and the accounting says so.
+    const std::uint64_t bytes = recycled.approx_bytes();
+    recycled.reset_to_root();
+    ASSERT_EQ(recycled.approx_bytes(), bytes);
+    DynamicTree fresh;
+    for (int step = 0; step < 400; ++step) {
+      const auto alive = fresh.alive_nodes();
+      const NodeId v = alive[rng.index(alive.size())];
+      const bool root = v == fresh.root();
+      switch (rng.uniform(0, 3)) {
+        case 0:
+          ASSERT_EQ(recycled.add_leaf(v), fresh.add_leaf(v));
+          break;
+        case 1:
+          if (!root) {
+            ASSERT_EQ(recycled.add_internal_above(v),
+                      fresh.add_internal_above(v));
+          }
+          break;
+        case 2:
+          if (!root && fresh.is_leaf(v)) {
+            fresh.remove_leaf(v);
+            recycled.remove_leaf(v);
+          }
+          break;
+        default:
+          if (!root && !fresh.is_leaf(v)) {
+            fresh.remove_internal(v);
+            recycled.remove_internal(v);
+          }
+          break;
+      }
+      ASSERT_EQ(recycled.size(), fresh.size()) << "step " << step;
+      ASSERT_EQ(recycled.total_ever(), fresh.total_ever()) << "step " << step;
+      // Ids past total_ever() include kept nodes: they must stay invisible.
+      for (NodeId id = 0; id < fresh.total_ever() + 4; ++id) {
+        ASSERT_EQ(recycled.alive(id), fresh.alive(id)) << "id " << id;
+        if (!fresh.alive(id)) continue;
+        ASSERT_EQ(recycled.parent(id), fresh.parent(id)) << "id " << id;
+        ASSERT_EQ(recycled.children(id), fresh.children(id)) << "id " << id;
+        ASSERT_EQ(recycled.depth(id), fresh.depth(id)) << "id " << id;
+      }
+      const auto res = validate(recycled);
+      ASSERT_TRUE(res.ok()) << "round " << round << " step " << step << ": "
+                            << res.detail;
+    }
+  }
+}
+
+// Ports are computed from the links: per node they are unique, each leads
+// back to its neighbor, and only tree edges have one.
+TEST(DynamicTree, PortsAreABijectionOnTreeEdges) {
+  Rng rng(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    DynamicTree t;
+    const std::size_t target = 64 + rng.index(1984);
+    while (t.size() < target) {
+      const auto alive = t.alive_nodes();
+      const NodeId v = alive[rng.index(alive.size())];
+      const auto roll = rng.uniform(0, 9);
+      if (roll < 6 || v == t.root()) {
+        t.add_leaf(v);
+      } else if (roll < 8) {
+        t.add_internal_above(v);
+      } else {
+        t.remove_node(v);
+      }
+    }
+    ASSERT_TRUE(validate(t).ok());
+    const PortAssigner ports = t.ports();
+    std::vector<PortId> seen;
+    for (NodeId v : t.alive_nodes()) {
+      std::vector<NodeId> neighbors = t.children(v);
+      if (v != t.root()) neighbors.push_back(t.parent(v));
+      ASSERT_EQ(ports.degree(v), neighbors.size());
+      seen.clear();
+      for (NodeId w : neighbors) {
+        ASSERT_TRUE(ports.has_port(v, w));
+        const PortId p = ports.port_to(v, w);
+        ASSERT_EQ(ports.neighbor_at(v, p), w);
+        seen.push_back(p);
+      }
+      std::sort(seen.begin(), seen.end());
+      ASSERT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+          << "duplicate port at " << v;
+      // Non-edges: the node itself, a random id (alive or dead) that is not
+      // a neighbor, and an id past total_ever().
+      const auto other = static_cast<NodeId>(
+          rng.index(static_cast<std::size_t>(t.total_ever())));
+      for (NodeId w : {v, other, static_cast<NodeId>(t.total_ever())}) {
+        if (std::find(neighbors.begin(), neighbors.end(), w) !=
+            neighbors.end()) {
+          continue;
+        }
+        EXPECT_FALSE(ports.has_port(v, w));
+        EXPECT_THROW((void)ports.port_to(v, w), ContractError);
+      }
+      // Any other 64-bit value is not a port of v.
+      const PortId foreign = rng.next();
+      if (!std::binary_search(seen.begin(), seen.end(), foreign)) {
+        EXPECT_THROW((void)ports.neighbor_at(v, foreign), ContractError);
+      }
+    }
+    EXPECT_EQ(ports.degree(static_cast<NodeId>(t.total_ever())), 0u);
   }
 }
 
