@@ -9,9 +9,8 @@
 
 #include <cmath>
 
-#include "apps/distributed_ancestry_labeling.hpp"
-#include "apps/distributed_nca_labeling.hpp"
-#include "apps/distributed_tree_routing.hpp"
+#include "apps/interval_labeling.hpp"
+#include "apps/nca_labeling.hpp"
 #include "bench_util.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
@@ -30,15 +29,15 @@ struct Sim {
   ~Sim() { bench::Run::note_net(net.stats()); }
 };
 
-// Routing + ancestry share the same churn driver (full dynamic model).
-template <typename App>
+// Routing and ancestry are one scheme (DFS-interval labels), so their two
+// rows run the same class on the same seed.
 std::vector<std::string> run_churned(const char* name, std::uint64_t seed) {
   Sim s(seed);
   Rng rng(seed + 2);
   workload::build(s.tree, workload::Shape::kRandomAttach, 128, rng);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath,
                                  Rng(seed + 6));
-  App app(s.net, s.tree);
+  apps::IntervalLabeling app(s.net, s.tree);
   std::uint64_t changes = 0;
   auto count = [&changes](const core::Result& r) {
     changes += r.granted();
@@ -68,7 +67,7 @@ std::vector<std::string> run_nca(std::uint64_t seed) {
   Sim s(seed);
   Rng rng(seed + 8);
   workload::build(s.tree, workload::Shape::kRandomAttach, 128, rng);
-  apps::DistributedNcaLabeling nca(s.net, s.tree);
+  apps::NcaLabeling nca(s.net, s.tree);
   std::uint64_t changes = 0;
   auto count = [&changes](const core::Result& r) {
     changes += r.granted();
@@ -108,11 +107,10 @@ int main(int argc, char** argv) {
   parallel_sweep(run, rows.size(), [&](std::size_t i) {
     switch (i) {
       case 0:
-        rows[i] = run_churned<apps::DistributedTreeRouting>("routing", seed);
+        rows[i] = run_churned("routing", seed);
         break;
       case 1:
-        rows[i] =
-            run_churned<apps::DistributedAncestryLabeling>("ancestry", seed);
+        rows[i] = run_churned("ancestry", seed);
         break;
       default:
         rows[i] = run_nca(seed);

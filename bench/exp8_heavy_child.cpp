@@ -34,20 +34,7 @@ Point measure(workload::ChurnModel model, std::uint64_t n0,
   workload::ChurnGenerator churn(model, Rng(seed + 2));
   Point out;
   for (std::uint64_t i = 0; i < steps && t.size() >= 4; ++i) {
-    const auto spec = churn.next(t);
-    switch (spec.type) {
-      case core::RequestSpec::Type::kAddLeaf:
-        hc.request_add_leaf(spec.subject);
-        break;
-      case core::RequestSpec::Type::kAddInternal:
-        hc.request_add_internal_above(spec.subject);
-        break;
-      case core::RequestSpec::Type::kRemove:
-        hc.request_remove(spec.subject);
-        break;
-      default:
-        break;
-    }
+    hc.submit(churn.next(t), [](const core::Result&) {});
     if (i % 32 == 0) {
       out.worst_light = std::max(out.worst_light, hc.max_light_ancestors());
     }

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "apps/ancestry_labeling.hpp"
+#include "apps/interval_labeling.hpp"
 #include "apps/name_assignment.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
@@ -30,7 +30,7 @@ int main() {
   workload::build(mirror, workload::Shape::kRandomAttach, 100, rng2);
 
   apps::NameAssignment names(overlay);
-  apps::AncestryLabeling labels(mirror);
+  apps::IntervalLabeling labels(mirror);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(13));
 
@@ -45,19 +45,18 @@ int main() {
     switch (spec.type) {
       case core::RequestSpec::Type::kAddLeaf:
         names.request_add_leaf(spec.subject);
-        labels.request_add_leaf(spec.subject);
         break;
       case core::RequestSpec::Type::kAddInternal:
         names.request_add_internal_above(spec.subject);
-        labels.request_add_internal_above(spec.subject);
         break;
       case core::RequestSpec::Type::kRemove:
         names.request_remove(spec.subject);
-        labels.request_remove(spec.subject);
         break;
       default:
         break;
     }
+    // Over the centralized stack the verdict arrives before submit returns.
+    labels.submit(spec, [](const core::Result&) {});
     if (step % 150 == 0) {
       std::printf("%6d %7llu %10llu %8.2f %10llu %9llu\n", step,
                   static_cast<unsigned long long>(overlay.size()),

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "apps/distributed_tree_routing.hpp"
+#include "apps/interval_labeling.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
 
@@ -23,7 +23,7 @@ int main() {
   tree::DynamicTree overlay;
   workload::build(overlay, workload::Shape::kRandomAttach, 200, rng);
 
-  apps::DistributedTreeRouting router(net, overlay);
+  apps::IntervalLabeling router(net, overlay);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(41));
 
   std::printf("%6s %7s %12s %11s %9s %14s\n", "phase", "nodes",

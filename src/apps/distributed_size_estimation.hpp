@@ -19,42 +19,34 @@
 #include <memory>
 
 #include "agent/convergecast.hpp"
+#include "apps/size_estimation.hpp"
 #include "core/distributed_iterated.hpp"
 
 namespace dyncon::apps {
 
-class DistributedSizeEstimation {
+class DistributedSizeEstimation final : public ISizeEstimation {
  public:
-  using Callback = core::DistributedController::Callback;
-
-  struct Options {
-    bool track_domains = false;
-    /// Forwarded to the controller iterations (§5.3; used by the
-    /// distributed subtree estimator).
-    std::function<void(NodeId, std::uint64_t)> on_pass_down;
-    /// Called at the start of every iteration, after the estimate resets.
-    std::function<void()> on_iteration_start;
-  };
-
   DistributedSizeEstimation(sim::Network& net, tree::DynamicTree& tree,
                             double beta, Options options);
   DistributedSizeEstimation(sim::Network& net, tree::DynamicTree& tree,
                             double beta)
       : DistributedSizeEstimation(net, tree, beta, Options{}) {}
 
-  /// Submit a topological request (kEvent requests are rejected by
-  /// contract: this protocol only meters membership changes).
-  void submit(const core::RequestSpec& spec, Callback done);
+  void submit(const core::RequestSpec& spec, Callback done) override;
   void submit_add_leaf(NodeId parent, Callback done);
   void submit_add_internal_above(NodeId child, Callback done);
   void submit_remove(NodeId v, Callback done);
+  void charge(const sim::Message& prototype, std::uint64_t count) override {
+    net_.charge(prototype, count);
+  }
 
-  /// The network-wide estimate (the current iteration's N_i).
-  [[nodiscard]] std::uint64_t estimate() const { return ni_; }
-  [[nodiscard]] double beta() const { return beta_; }
-  [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
+  [[nodiscard]] std::uint64_t estimate() const override { return ni_; }
+  [[nodiscard]] double beta() const override { return beta_; }
+  [[nodiscard]] std::uint64_t iterations() const override {
+    return iterations_;
+  }
   [[nodiscard]] bool rotating() const { return rotating_; }
-  [[nodiscard]] std::uint64_t messages() const;
+  [[nodiscard]] std::uint64_t messages() const override;
 
  private:
   void start_iteration(std::uint64_t ni);

@@ -1,20 +1,33 @@
 #include "apps/heavy_child.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace dyncon::apps {
 
+using core::RequestSpec;
 using core::Result;
 
 HeavyChild::HeavyChild(tree::DynamicTree& tree, Options options)
+    : HeavyChild(nullptr, tree, options) {}
+
+HeavyChild::HeavyChild(sim::Network& net, tree::DynamicTree& tree,
+                       Options options)
+    : HeavyChild(&net, tree, options) {}
+
+HeavyChild::HeavyChild(sim::Network* net, tree::DynamicTree& tree,
+                       Options options)
     : tree_(tree) {
   SubtreeEstimator::Options opts;
   opts.track_domains = options.track_domains;
   opts.on_estimate_update = [this](NodeId v) { on_estimate_update(v); };
-  est_ = std::make_unique<SubtreeEstimator>(tree, std::sqrt(3.0),
-                                            std::move(opts));
+  est_ = net ? std::make_unique<SubtreeEstimator>(*net, tree, std::sqrt(3.0),
+                                                  std::move(opts))
+             : std::make_unique<SubtreeEstimator>(tree, std::sqrt(3.0),
+                                                  std::move(opts));
   tree_.add_observer(this);
   // Seed the reports for the initial topology.
   for (NodeId v : tree_.alive_nodes()) on_estimate_update(v);
@@ -26,12 +39,7 @@ void HeavyChild::on_estimate_update(NodeId v) {
   // The estimator fires its first iteration-start callback from inside its
   // own construction, before est_ is assigned; the constructor re-seeds
   // every node afterwards, so skipping here loses nothing.
-  if (!est_ || !tree_.alive(v)) return;
-  report_to_parent(v);
-}
-
-void HeavyChild::report_to_parent(NodeId v) {
-  if (v == tree_.root()) return;
+  if (!est_ || !tree_.alive(v) || v == tree_.root()) return;
   const NodeId p = tree_.parent(v);
   ++report_messages_;
   child_reports_[p][v] = est_->estimate(v);
@@ -58,19 +66,27 @@ void HeavyChild::recompute_heavy(NodeId v) {
   heavy_[v] = best;
 }
 
-Result HeavyChild::request_add_leaf(NodeId parent) {
-  Result r = est_->request_add_leaf(parent);
-  if (r.granted()) on_estimate_update(r.new_node);
-  return r;
+void HeavyChild::submit(const RequestSpec& spec, Callback done) {
+  est_->submit(spec, [this, done = std::move(done)](const Result& r) {
+    if (r.granted() && r.new_node != kNoNode && tree_.alive(r.new_node)) {
+      on_estimate_update(r.new_node);
+    }
+    done(r);
+  });
 }
 
-Result HeavyChild::request_add_internal_above(NodeId child) {
-  Result r = est_->request_add_internal_above(child);
-  if (r.granted()) on_estimate_update(r.new_node);
-  return r;
+void HeavyChild::submit_add_leaf(NodeId parent, Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kAddLeaf, parent}, std::move(done));
 }
 
-Result HeavyChild::request_remove(NodeId v) { return est_->request_remove(v); }
+void HeavyChild::submit_add_internal_above(NodeId child, Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kAddInternal, child},
+         std::move(done));
+}
+
+void HeavyChild::submit_remove(NodeId v, Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
+}
 
 NodeId HeavyChild::heavy(NodeId v) const {
   auto it = heavy_.find(v);

@@ -1,6 +1,7 @@
 #pragma once
 
-// Heavy-child decomposition maintenance (§5.3, Theorem 5.4).
+// Heavy-child decomposition maintenance (§5.3, Theorem 5.4), over either
+// controller stack.
 //
 // Each internal node v keeps a pointer mu(v) to one child — its *heavy*
 // child; all other children are *light*.  The protocol maintains the
@@ -18,10 +19,10 @@
 // (local memory only, no extra messages) so the pointer can be recomputed
 // when the heavy child is deleted or re-parented.
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/subtree_estimator.hpp"
 
@@ -29,18 +30,26 @@ namespace dyncon::apps {
 
 class HeavyChild final : private tree::TreeObserver {
  public:
+  using Callback = SubtreeEstimator::Callback;
+
   struct Options {
     bool track_domains = false;
   };
 
+  /// Over the centralized controller stack.
   HeavyChild(tree::DynamicTree& tree, Options options);
   explicit HeavyChild(tree::DynamicTree& tree)
       : HeavyChild(tree, Options{}) {}
+  /// Over the simulator.
+  HeavyChild(sim::Network& net, tree::DynamicTree& tree, Options options);
+  HeavyChild(sim::Network& net, tree::DynamicTree& tree)
+      : HeavyChild(net, tree, Options{}) {}
   ~HeavyChild() override;
 
-  core::Result request_add_leaf(NodeId parent);
-  core::Result request_add_internal_above(NodeId child);
-  core::Result request_remove(NodeId v);
+  void submit(const core::RequestSpec& spec, Callback done);
+  void submit_add_leaf(NodeId parent, Callback done);
+  void submit_add_internal_above(NodeId child, Callback done);
+  void submit_remove(NodeId v, Callback done);
 
   /// mu(v): the heavy child of v, or kNoNode for a leaf.
   [[nodiscard]] NodeId heavy(NodeId v) const;
@@ -55,9 +64,15 @@ class HeavyChild final : private tree::TreeObserver {
   [[nodiscard]] std::uint64_t messages() const;
   [[nodiscard]] const SubtreeEstimator& estimator() const { return *est_; }
 
+  /// Charge an app's control traffic to the network underneath (a no-op
+  /// on the centralized stack).
+  void charge(const sim::Message& prototype, std::uint64_t count) {
+    est_->charge(prototype, count);
+  }
+
  private:
+  HeavyChild(sim::Network* net, tree::DynamicTree& tree, Options options);
   void on_estimate_update(NodeId v);
-  void report_to_parent(NodeId v);
   void recompute_heavy(NodeId v);
 
   // TreeObserver: keep the child-report tables aligned with the topology.

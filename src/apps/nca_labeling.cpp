@@ -1,25 +1,35 @@
 #include "apps/nca_labeling.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "sim/wire.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::apps {
 
 using core::Result;
 
+namespace {
+/// Rebuild once the size drifts by this factor from the last build.
+constexpr std::uint64_t kRebuildDrift = 2;
+static_assert(kRebuildDrift > 1, "drift factor must exceed 1");
+}  // namespace
+
 NcaLabeling::NcaLabeling(tree::DynamicTree& tree, Options options)
-    : tree_(tree) {
-  SizeEstimation::Options se;
-  se.track_domains = options.track_domains;
-  se.on_iteration_start = [this] {
-    // Rebuild at iteration boundaries once the tree drifted enough that
-    // grafted light leaves degrade the label-length guarantee.
-    if (tree_.size() * 2 <= built_for_ || built_for_ * 2 <= tree_.size()) {
-      rebuild();
-    }
-  };
-  size_est_ = std::make_unique<SizeEstimation>(tree, 2.0, std::move(se));
+    : NcaLabeling(std::make_unique<HeavyChild>(
+                      tree, HeavyChild::Options{options.track_domains}),
+                  tree) {}
+
+NcaLabeling::NcaLabeling(sim::Network& net, tree::DynamicTree& tree,
+                         Options options)
+    : NcaLabeling(std::make_unique<HeavyChild>(
+                      net, tree, HeavyChild::Options{options.track_domains}),
+                  tree) {}
+
+NcaLabeling::NcaLabeling(std::unique_ptr<HeavyChild> hc,
+                         tree::DynamicTree& tree)
+    : tree_(tree), hc_(std::move(hc)) {
   rebuild();
 }
 
@@ -27,19 +37,10 @@ void NcaLabeling::rebuild() {
   ++rebuilds_;
   labels_.clear();
   paths_.clear();
-
-  // Exact subtree sizes, children-after-parents order reversed.
-  const auto order = tree_.alive_nodes();
-  std::unordered_map<NodeId, std::uint64_t> size;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    std::uint64_t w = 1;
-    for (NodeId c : tree_.children(*it)) w += size[c];
-    size[*it] = w;
-  }
-
-  // Heavy child = child with the largest subtree; build labels root-down.
+  // Freeze the protocol's current mu(v) pointers into heavy paths and
+  // label along them, root-down.
   std::unordered_map<NodeId, Entry> position;  // node -> its path position
-  for (NodeId v : order) {
+  for (NodeId v : tree_.alive_nodes()) {
     Entry pos;
     if (v == tree_.root()) {
       pos = Entry{v, 0};
@@ -47,22 +48,15 @@ void NcaLabeling::rebuild() {
     } else {
       const NodeId p = tree_.parent(v);
       const Entry parent_pos = position.at(p);
-      // Is v its parent's heavy child?
-      NodeId heavy = tree_.children(p).front();
-      for (NodeId c : tree_.children(p)) {
-        if (size[c] > size[heavy]) heavy = c;
-      }
-      if (v == heavy) {
+      Label lab = labels_.at(p);
+      if (hc_->heavy(p) == v) {
         pos = Entry{parent_pos.head, parent_pos.offset + 1};
-        Label lab = labels_.at(p);
         lab.back().offset = pos.offset;
-        labels_[v] = std::move(lab);
       } else {
         pos = Entry{v, 0};
-        Label lab = labels_.at(p);
         lab.push_back(pos);
-        labels_[v] = std::move(lab);
       }
+      labels_[v] = std::move(lab);
     }
     position[v] = pos;
     auto& members = paths_[pos.head];
@@ -71,44 +65,61 @@ void NcaLabeling::rebuild() {
     members.push_back(v);
   }
   built_for_ = tree_.size();
-  control_messages_ += 2 * tree_.size();  // the rebuilding traversal
+  // The labeling DFS traversal: 2(n-1) hops of O(log n)-entry payloads.
+  const std::uint64_t hops = 2 * (tree_.size() - 1);
+  control_messages_ += hops;
+  hc_->charge(sim::Message::app_value(sim::AppTopic::kToken, tree_.size()),
+              hops);
 }
 
-Result NcaLabeling::request_add_leaf(NodeId parent) {
-  Result r = size_est_->request_add_leaf(parent);
-  if (!r.granted()) return r;
-  // The new leaf joins as its own single-node light path: one extra label
-  // entry relative to its parent, assigned by a local handshake.
-  const NodeId u = r.new_node;
-  Label lab = labels_.at(parent);
-  lab.push_back(Entry{u, 0});
-  labels_[u] = std::move(lab);
-  paths_[u] = {u};
-  ++control_messages_;
-  return r;
+void NcaLabeling::maybe_rebuild() {
+  const std::uint64_t n = std::max<std::uint64_t>(tree_.size(), 1);
+  const std::uint64_t base = std::max<std::uint64_t>(built_for_, 1);
+  if (n >= base * kRebuildDrift || n * kRebuildDrift <= base) rebuild();
 }
 
-Result NcaLabeling::request_remove_leaf(NodeId v) {
+void NcaLabeling::submit_add_leaf(NodeId parent, Callback done) {
+  hc_->submit_add_leaf(
+      parent, [this, parent, done = std::move(done)](const Result& r) {
+        if (r.granted()) {
+          // The new leaf joins as its own single-node light path: one extra
+          // label entry relative to its parent, assigned by a local
+          // handshake.
+          Label lab = labels_.at(parent);
+          lab.push_back(Entry{r.new_node, 0});
+          labels_[r.new_node] = std::move(lab);
+          paths_[r.new_node] = {r.new_node};
+          ++control_messages_;
+          maybe_rebuild();
+        }
+        done(r);
+      });
+}
+
+void NcaLabeling::submit_remove_leaf(NodeId v, Callback done) {
   DYNCON_REQUIRE(tree_.alive(v) && tree_.is_leaf(v),
                  "NCA labeling supports leaf removals only (Obs. 5.5)");
-  Result r = size_est_->request_remove(v);
-  if (!r.granted()) return r;
-  // Obs. 5.5: no surviving label references the removed leaf's position
-  // (a leaf is always the terminal node of its path).
-  labels_.erase(v);
-  auto it = paths_.find(v);
-  if (it != paths_.end()) {
-    paths_.erase(it);  // it was a grafted single-node path
-  } else {
-    // It terminated a build-time heavy path: shrink that member array.
-    for (auto& [head, members] : paths_) {
-      if (!members.empty() && members.back() == v) {
-        members.pop_back();
-        break;
+  hc_->submit_remove(v, [this, v, done = std::move(done)](const Result& r) {
+    if (r.granted()) {
+      // Obs. 5.5: no surviving label references the removed leaf's
+      // position (a leaf is always the terminal node of its path).
+      labels_.erase(v);
+      auto it = paths_.find(v);
+      if (it != paths_.end()) {
+        paths_.erase(it);  // it was a single-node path
+      } else {
+        // It terminated a longer heavy path: shrink that member array.
+        for (auto& [head, members] : paths_) {
+          if (!members.empty() && members.back() == v) {
+            members.pop_back();
+            break;
+          }
+        }
       }
+      maybe_rebuild();
     }
-  }
-  return r;
+    done(r);
+  });
 }
 
 NodeId NcaLabeling::nca(NodeId u, NodeId v) const {
@@ -145,7 +156,7 @@ std::uint64_t NcaLabeling::max_label_entries() const {
 }
 
 std::uint64_t NcaLabeling::messages() const {
-  return size_est_->messages() + control_messages_;
+  return hc_->messages() + control_messages_;
 }
 
 }  // namespace dyncon::apps

@@ -3,12 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/distributed_size_estimation.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::apps {
 
 using core::Outcome;
+using core::RequestSpec;
 using core::Result;
+
+std::unique_ptr<ISizeEstimation> make_size_estimation(
+    sim::Network* net, tree::DynamicTree& tree, double beta,
+    ISizeEstimation::Options options) {
+  if (net) {
+    return std::make_unique<DistributedSizeEstimation>(*net, tree, beta,
+                                                       std::move(options));
+  }
+  return std::make_unique<SizeEstimation>(tree, beta, std::move(options));
+}
 
 SizeEstimation::SizeEstimation(tree::DynamicTree& tree, double beta,
                                Options options)
@@ -62,6 +74,23 @@ Result SizeEstimation::request_add_internal_above(NodeId child) {
 Result SizeEstimation::request_remove(NodeId v) {
   return with_rotation(
       [&](core::TerminatingController& c) { return c.request_remove(v); });
+}
+
+void SizeEstimation::submit(const RequestSpec& spec, Callback done) {
+  DYNCON_REQUIRE(spec.type != RequestSpec::Type::kEvent,
+                 "size estimation meters topological changes only");
+  DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
+  switch (spec.type) {
+    case RequestSpec::Type::kAddLeaf:
+      done(request_add_leaf(spec.subject));
+      break;
+    case RequestSpec::Type::kAddInternal:
+      done(request_add_internal_above(spec.subject));
+      break;
+    default:
+      done(request_remove(spec.subject));
+      break;
+  }
 }
 
 std::uint64_t SizeEstimation::messages() const {

@@ -20,19 +20,52 @@
 #include <memory>
 
 #include "core/terminating_controller.hpp"
+#include "sim/network.hpp"
 
 namespace dyncon::apps {
 
-class SizeEstimation {
+/// The §5.1 layer as the §5.3–§5.4 schemes see it, over either controller
+/// stack: SizeEstimation (centralized) or DistributedSizeEstimation (the
+/// simulator).  Lemma 4.3 makes the two one protocol, so each scheme above
+/// is written once against this interface.
+class ISizeEstimation {
  public:
+  using Callback = std::function<void(const core::Result&)>;
+
   struct Options {
     bool track_domains = false;
-    /// Forwarded to the controller iterations (used by SubtreeEstimator).
+    /// Forwarded to the controller iterations (§5.3; used by
+    /// SubtreeEstimator).
     std::function<void(NodeId, std::uint64_t)> on_pass_down;
     /// Called at the start of every iteration, after the estimate resets.
     std::function<void()> on_iteration_start;
   };
 
+  virtual ~ISizeEstimation() = default;
+
+  /// Submit a topological request (kEvent requests are rejected by
+  /// contract: this protocol only meters membership changes).
+  virtual void submit(const core::RequestSpec& spec, Callback done) = 0;
+  /// Charge `count` transmissions of `prototype` (an app's control
+  /// traffic) to the network the layer runs on.
+  virtual void charge(const sim::Message& prototype,
+                      std::uint64_t count) = 0;
+
+  /// The network-wide estimate (the current iteration's N_i).
+  [[nodiscard]] virtual std::uint64_t estimate() const = 0;
+  [[nodiscard]] virtual std::uint64_t iterations() const = 0;
+  [[nodiscard]] virtual std::uint64_t messages() const = 0;
+  [[nodiscard]] virtual double beta() const = 0;
+};
+
+/// The §5.1 layer over the simulator when `net` is set, otherwise over the
+/// centralized controller stack.
+[[nodiscard]] std::unique_ptr<ISizeEstimation> make_size_estimation(
+    sim::Network* net, tree::DynamicTree& tree, double beta,
+    ISizeEstimation::Options options);
+
+class SizeEstimation final : public ISizeEstimation {
+ public:
   SizeEstimation(tree::DynamicTree& tree, double beta, Options options);
   SizeEstimation(tree::DynamicTree& tree, double beta)
       : SizeEstimation(tree, beta, Options{}) {}
@@ -41,16 +74,23 @@ class SizeEstimation {
   core::Result request_add_internal_above(NodeId child);
   core::Result request_remove(NodeId v);
 
+  /// Runs the request to its verdict: `done` fires before submit returns.
+  void submit(const core::RequestSpec& spec, Callback done) override;
+  /// No network underneath: control traffic is charged analytically.
+  void charge(const sim::Message&, std::uint64_t) override {}
+
   /// The estimate every node currently holds (identical network-wide: it is
   /// the N_i broadcast at iteration start).
-  [[nodiscard]] std::uint64_t estimate() const { return ni_; }
+  [[nodiscard]] std::uint64_t estimate() const override { return ni_; }
 
-  [[nodiscard]] double beta() const { return beta_; }
-  [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
+  [[nodiscard]] double beta() const override { return beta_; }
+  [[nodiscard]] std::uint64_t iterations() const override {
+    return iterations_;
+  }
 
   /// Total messages: controller traffic plus the per-iteration counting
   /// broadcast/upcast.
-  [[nodiscard]] std::uint64_t messages() const;
+  [[nodiscard]] std::uint64_t messages() const override;
 
   [[nodiscard]] const core::TerminatingController& controller() const {
     return *inner_;

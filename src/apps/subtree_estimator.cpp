@@ -1,29 +1,55 @@
 #include "apps/subtree_estimator.hpp"
 
-#include <vector>
+#include <utility>
 
+#include "sim/wire.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::apps {
 
+using core::RequestSpec;
 using core::Result;
+
+namespace {
+std::uint64_t value_or_zero(
+    const std::unordered_map<NodeId, std::uint64_t>& map, NodeId v) {
+  const auto it = map.find(v);
+  return it == map.end() ? 0 : it->second;
+}
+}  // namespace
 
 SubtreeEstimator::SubtreeEstimator(tree::DynamicTree& tree, double beta,
                                    Options options)
-    : tree_(tree), options_(std::move(options)) {
-  SizeEstimation::Options se;
+    : SubtreeEstimator(nullptr, tree, beta, std::move(options)) {}
+
+SubtreeEstimator::SubtreeEstimator(sim::Network& net,
+                                   tree::DynamicTree& tree, double beta,
+                                   Options options)
+    : SubtreeEstimator(&net, tree, beta, std::move(options)) {}
+
+SubtreeEstimator::SubtreeEstimator(sim::Network* net,
+                                   tree::DynamicTree& tree, double beta,
+                                   Options options)
+    : tree_(tree), options_(std::move(options)), centralized_(!net) {
+  ISizeEstimation::Options se;
   se.track_domains = options_.track_domains;
   se.on_pass_down = [this](NodeId v, std::uint64_t permits) {
     on_pass_down(v, permits);
   };
   se.on_iteration_start = [this] { on_iteration_start(); };
-  size_est_ = std::make_unique<SizeEstimation>(tree, beta, std::move(se));
+  size_est_ = make_size_estimation(net, tree, beta, std::move(se));
+  // The layer started its first iteration inside its own construction,
+  // before size_est_ was set; that iteration's baseline is computed here.
+  on_iteration_start();
 }
 
 void SubtreeEstimator::on_iteration_start() {
-  // Broadcast + upcast computing w0(v, i) = |descendants of v| for every
-  // node; already charged inside SizeEstimation's per-iteration 2n, we add
-  // the dedicated w0 upcast the paper describes.
+  if (!size_est_) return;
+  // w0 dissemination: one extra broadcast/upcast (2(n-1) messages) on top
+  // of the size estimator's own counting.
+  size_est_->charge(
+      sim::Message::app_value(sim::AppTopic::kReport, tree_.size()),
+      2 * (tree_.size() - 1));
   w0_.clear();
   passed_.clear();
   sw_.clear();
@@ -47,56 +73,61 @@ void SubtreeEstimator::on_pass_down(NodeId v, std::uint64_t permits) {
   if (options_.on_estimate_update) options_.on_estimate_update(v);
 }
 
-void SubtreeEstimator::bump_ancestors(NodeId from) {
-  for (NodeId cur = from;;) {
-    if (cur == tree_.root()) break;
-    cur = tree_.parent(cur);
-    sw_[cur] += 1;
-  }
+void SubtreeEstimator::submit(const RequestSpec& spec, Callback done) {
+  size_est_->submit(spec, [this, spec, done = std::move(done)](
+                              const Result& r) {
+    if (r.granted() && r.new_node != kNoNode) {
+      const NodeId u = r.new_node;
+      const bool internal = spec.type == RequestSpec::Type::kAddInternal;
+      if (!internal) {
+        w0_[u] = 1;
+        sw_[u] = 1;
+      } else if (tree_.alive(u)) {
+        // Graceful-insertion bootstrap: the new node adopts its child's
+        // current counters (one local handshake) so its estimate reflects
+        // the subtree it now roots.
+        std::uint64_t base = 1;
+        std::uint64_t s = 1;
+        for (NodeId c : tree_.children(u)) {
+          base += value_or_zero(w0_, c) + value_or_zero(passed_, c);
+          s += value_or_zero(sw_, c);
+        }
+        w0_[u] = base;
+        sw_[u] = s;
+      }
+      // Super-weights of ancestors grow on additions (ever-existed); a
+      // removal changes nothing upward.
+      if (tree_.alive(u)) {
+        for (NodeId cur = u; cur != tree_.root();) {
+          cur = tree_.parent(cur);
+          sw_[cur] += 1;
+        }
+        if (internal && centralized_ && options_.on_estimate_update) {
+          options_.on_estimate_update(u);
+        }
+      }
+    }
+    done(r);
+  });
 }
 
-template <typename Fn>
-Result SubtreeEstimator::request(Fn&& go) {
-  return go(*size_est_);
+void SubtreeEstimator::submit_add_leaf(NodeId parent, Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kAddLeaf, parent}, std::move(done));
 }
 
-Result SubtreeEstimator::request_add_leaf(NodeId parent) {
-  Result r = size_est_->request_add_leaf(parent);
-  if (r.granted()) {
-    w0_[r.new_node] = 1;
-    sw_[r.new_node] = 1;
-    bump_ancestors(r.new_node);
-  }
-  return r;
+void SubtreeEstimator::submit_add_internal_above(NodeId child,
+                                                 Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kAddInternal, child},
+         std::move(done));
 }
 
-Result SubtreeEstimator::request_add_internal_above(NodeId child) {
-  Result r = size_est_->request_add_internal_above(child);
-  if (r.granted()) {
-    // Graceful-insertion bootstrap: the new node adopts its child's current
-    // counters (one local handshake) so its estimate reflects the subtree
-    // it now roots.
-    const NodeId m = r.new_node;
-    w0_[m] = w0_[child] + passed_[child] + 1;
-    sw_[m] = sw_[child] + 1;
-    bump_ancestors(m);
-    if (options_.on_estimate_update) options_.on_estimate_update(m);
-  }
-  return r;
-}
-
-Result SubtreeEstimator::request_remove(NodeId v) {
-  // Super-weights count nodes that *ever* existed this iteration, so a
-  // removal changes nothing upward.
-  return size_est_->request_remove(v);
+void SubtreeEstimator::submit_remove(NodeId v, Callback done) {
+  submit(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
 }
 
 std::uint64_t SubtreeEstimator::estimate(NodeId v) const {
   DYNCON_REQUIRE(tree_.alive(v), "estimate of a dead node");
-  std::uint64_t est = 0;
-  if (auto it = w0_.find(v); it != w0_.end()) est += it->second;
-  if (auto it = passed_.find(v); it != passed_.end()) est += it->second;
-  return est;
+  return value_or_zero(w0_, v) + value_or_zero(passed_, v);
 }
 
 std::uint64_t SubtreeEstimator::true_super_weight(NodeId v) const {

@@ -40,19 +40,15 @@
 // Applications (§5).
 #include "apps/size_estimation.hpp"
 #include "apps/name_assignment.hpp"
-#include "apps/subtree_estimator.hpp"
-#include "apps/heavy_child.hpp"
-#include "apps/ancestry_labeling.hpp"
-#include "apps/tree_routing.hpp"
-#include "apps/nca_labeling.hpp"
 #include "apps/majority_commit.hpp"
 #include "apps/distributed_size_estimation.hpp"
 #include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_heavy_child.hpp"
-#include "apps/distributed_tree_routing.hpp"
-#include "apps/distributed_nca_labeling.hpp"
-#include "apps/distributed_ancestry_labeling.hpp"
 #include "apps/two_phase_commit.hpp"
+// §5.3–§5.4, each over either controller stack: X(tree) or X(net, tree).
+#include "apps/subtree_estimator.hpp"   // Lemma 5.3
+#include "apps/heavy_child.hpp"         // Thm. 5.4
+#include "apps/interval_labeling.hpp"   // Obs. 5.5: ancestry + routing
+#include "apps/nca_labeling.hpp"        // Obs. 5.5 over Thm. 5.4
 
 // Workloads for experiments and tests.
 #include "workload/arrival.hpp"

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/ancestry_labeling.hpp"
+#include "apps/interval_labeling.hpp"
 #include "apps/majority_commit.hpp"
+#include "sync_result.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
@@ -16,7 +17,7 @@ using tree::DynamicTree;
 using workload::ChurnGenerator;
 using workload::ChurnModel;
 
-void audit_all_pairs(const DynamicTree& t, const AncestryLabeling& lab) {
+void audit_all_pairs(const DynamicTree& t, const IntervalLabeling& lab) {
   const auto nodes = t.alive_nodes();
   for (NodeId u : nodes) {
     for (NodeId v : nodes) {
@@ -30,7 +31,7 @@ TEST(Ancestry, InitialLabelsAnswerAllPairs) {
   Rng rng(1);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 40, rng);
-  AncestryLabeling lab(t);
+  IntervalLabeling lab(t);
   audit_all_pairs(t, lab);
 }
 
@@ -38,10 +39,13 @@ TEST(Ancestry, DeletionsPreserveCorrectness) {
   Rng rng(2);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 60, rng);
-  AncestryLabeling lab(t);
+  IntervalLabeling lab(t);
   ChurnGenerator churn(ChurnModel::kShrink, Rng(3));
   while (t.size() > 10) {
-    ASSERT_TRUE(lab.request_remove(churn.next(t).subject).granted());
+    const NodeId v = churn.next(t).subject;
+    ASSERT_TRUE(sync_result([&](auto done) {
+                  lab.submit_remove(v, done);
+                }).granted());
   }
   audit_all_pairs(t, lab);
 }
@@ -50,11 +54,14 @@ TEST(Ancestry, ShrinkTriggersRelabelKeepingBitsOptimal) {
   Rng rng(4);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 512, rng);
-  AncestryLabeling lab(t);
+  IntervalLabeling lab(t);
   const std::uint64_t initial_relabels = lab.relabels();
   ChurnGenerator churn(ChurnModel::kShrink, Rng(5));
   while (t.size() > 16) {
-    ASSERT_TRUE(lab.request_remove(churn.next(t).subject).granted());
+    const NodeId v = churn.next(t).subject;
+    ASSERT_TRUE(sync_result([&](auto done) {
+                  lab.submit_remove(v, done);
+                }).granted());
   }
   EXPECT_GT(lab.relabels(), initial_relabels)
       << "a 32x shrink must trigger relabeling";
@@ -66,24 +73,11 @@ TEST(Ancestry, MixedChurnStaysCorrect) {
   Rng rng(6);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 30, rng);
-  AncestryLabeling lab(t);
+  IntervalLabeling lab(t);
   ChurnGenerator churn(ChurnModel::kInternalChurn, Rng(7));
   for (int i = 0; i < 150; ++i) {
     if (t.size() < 4) break;
-    const auto spec = churn.next(t);
-    switch (spec.type) {
-      case core::RequestSpec::Type::kAddLeaf:
-        lab.request_add_leaf(spec.subject);
-        break;
-      case core::RequestSpec::Type::kAddInternal:
-        lab.request_add_internal_above(spec.subject);
-        break;
-      case core::RequestSpec::Type::kRemove:
-        lab.request_remove(spec.subject);
-        break;
-      default:
-        break;
-    }
+    lab.submit(churn.next(t), [](const core::Result&) {});
     if (i % 10 == 0) audit_all_pairs(t, lab);
   }
   audit_all_pairs(t, lab);
@@ -93,10 +87,13 @@ TEST(Ancestry, InsertionsKeepBitsBounded) {
   Rng rng(8);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 16, rng);
-  AncestryLabeling lab(t);
+  IntervalLabeling lab(t);
   ChurnGenerator churn(ChurnModel::kGrowOnly, Rng(9));
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(lab.request_add_leaf(churn.next(t).subject).granted());
+    const NodeId parent = churn.next(t).subject;
+    ASSERT_TRUE(sync_result([&](auto done) {
+                  lab.submit_add_leaf(parent, done);
+                }).granted());
   }
   EXPECT_LE(lab.label_bits(), ceil_log2(t.size()) + 10);
 }

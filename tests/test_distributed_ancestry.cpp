@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_ancestry_labeling.hpp"
+#include "apps/interval_labeling.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -24,7 +24,7 @@ struct Sim {
 };
 
 void audit_all_pairs(const DynamicTree& t,
-                     const DistributedAncestryLabeling& lab) {
+                     const IntervalLabeling& lab) {
   const auto nodes = t.alive_nodes();
   for (NodeId u : nodes) {
     for (NodeId v : nodes) {
@@ -38,7 +38,7 @@ TEST(DistAncestry, InitialLabelsExact) {
   Sim s;
   Rng rng(1);
   workload::build(s.tree, workload::Shape::kRandomAttach, 40, rng);
-  DistributedAncestryLabeling lab(s.net, s.tree);
+  IntervalLabeling lab(s.net, s.tree);
   audit_all_pairs(s.tree, lab);
 }
 
@@ -46,7 +46,7 @@ TEST(DistAncestry, FullChurnStaysExact) {
   Sim s;
   Rng rng(2);
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
-  DistributedAncestryLabeling lab(s.net, s.tree);
+  IntervalLabeling lab(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(3));
   for (int i = 0; i < 250; ++i) {
@@ -75,7 +75,7 @@ TEST(DistAncestry, ConcurrentBurstsExactAtQuiescence) {
   Sim s;
   Rng rng(4);
   workload::build(s.tree, workload::Shape::kCaterpillar, 36, rng);
-  DistributedAncestryLabeling lab(s.net, s.tree);
+  IntervalLabeling lab(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kFlashCrowd, Rng(5));
   for (int burst = 0; burst < 30; ++burst) {
     for (int i = 0; i < 4; ++i) {
@@ -97,7 +97,7 @@ TEST(DistAncestry, ShrinkRelabelsKeepBitsTight) {
   Sim s;
   Rng rng(6);
   workload::build(s.tree, workload::Shape::kRandomAttach, 400, rng);
-  DistributedAncestryLabeling lab(s.net, s.tree);
+  IntervalLabeling lab(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kShrink, Rng(7));
   while (s.tree.size() > 16) {
     lab.submit_remove(churn.next(s.tree).subject, [](const Result&) {});

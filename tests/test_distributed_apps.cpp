@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_heavy_child.hpp"
 #include "apps/distributed_name_assignment.hpp"
 #include "apps/distributed_size_estimation.hpp"
+#include "apps/heavy_child.hpp"
 #include "apps/two_phase_commit.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
@@ -246,7 +246,7 @@ TEST(DistSubtreeEstimator, BaselineExactAtIterationStart) {
   Sim s;
   Rng rng(51);
   workload::build(s.tree, workload::Shape::kRandomAttach, 48, rng);
-  DistributedSubtreeEstimator est(s.net, s.tree, 2.0);
+  SubtreeEstimator est(s.net, s.tree, 2.0);
   for (NodeId v : s.tree.alive_nodes()) {
     EXPECT_EQ(est.estimate(v), est.true_super_weight(v));
   }
@@ -257,7 +257,7 @@ TEST(DistSubtreeEstimator, RootCoversSuperWeightUnderChurn) {
   Sim s;
   Rng rng(53);
   workload::build(s.tree, workload::Shape::kRandomAttach, 64, rng);
-  DistributedSubtreeEstimator est(s.net, s.tree, 2.0);
+  SubtreeEstimator est(s.net, s.tree, 2.0);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(55));
   for (int i = 0; i < 250; ++i) {
     est.submit(churn.next(s.tree), [](const Result&) {});
@@ -275,7 +275,7 @@ TEST(DistHeavyChild, LogLightAncestorsUnderAsyncChurn) {
   Sim s(sim::DelayKind::kUniform, 57);
   Rng rng(59);
   workload::build(s.tree, workload::Shape::kRandomAttach, 64, rng);
-  DistributedHeavyChild hc(s.net, s.tree);
+  HeavyChild hc(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(61));
   for (int burst = 0; burst < 50; ++burst) {
@@ -294,7 +294,7 @@ TEST(DistHeavyChild, PointersValidAfterChurn) {
   Sim s;
   Rng rng(63);
   workload::build(s.tree, workload::Shape::kCaterpillar, 40, rng);
-  DistributedHeavyChild hc(s.net, s.tree);
+  HeavyChild hc(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(65));
   for (int i = 0; i < 150; ++i) {
     hc.submit(churn.next(s.tree), [](const Result&) {});

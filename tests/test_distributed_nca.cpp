@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_nca_labeling.hpp"
+#include "apps/nca_labeling.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 
@@ -39,7 +39,7 @@ NodeId true_nca(const DynamicTree& t, NodeId u, NodeId v) {
 }
 
 void audit_all_pairs(const DynamicTree& t,
-                     const DistributedNcaLabeling& nca) {
+                     const NcaLabeling& nca) {
   const auto nodes = t.alive_nodes();
   for (NodeId u : nodes) {
     for (NodeId v : nodes) {
@@ -54,7 +54,7 @@ TEST(DistNca, CorrectOnAllShapes) {
     Sim s;
     Rng rng(1);
     workload::build(s.tree, shape, 40, rng);
-    DistributedNcaLabeling nca(s.net, s.tree);
+    NcaLabeling nca(s.net, s.tree);
     audit_all_pairs(s.tree, nca);
   }
 }
@@ -69,7 +69,7 @@ TEST(DistNca, ApproximateDecompositionKeepsLabelsLogarithmic) {
     Sim s;
     Rng rng(2);
     workload::build(s.tree, shape, 300, rng);
-    DistributedNcaLabeling nca(s.net, s.tree);
+    NcaLabeling nca(s.net, s.tree);
     EXPECT_LE(nca.max_label_entries(),
               2 * ceil_log2(s.tree.size()) + 2)
         << workload::shape_name(shape);
@@ -80,7 +80,7 @@ TEST(DistNca, LeafChurnStaysExact) {
   Sim s;
   Rng rng(3);
   workload::build(s.tree, workload::Shape::kRandomAttach, 40, rng);
-  DistributedNcaLabeling nca(s.net, s.tree);
+  NcaLabeling nca(s.net, s.tree);
   for (int i = 0; i < 300; ++i) {
     if (rng.chance(0.55)) {
       nca.submit_add_leaf(workload::random_node(s.tree, rng),
@@ -104,7 +104,7 @@ TEST(DistNca, GrowthTriggersRebuilds) {
   Sim s;
   Rng rng(4);
   workload::build(s.tree, workload::Shape::kRandomAttach, 16, rng);
-  DistributedNcaLabeling nca(s.net, s.tree);
+  NcaLabeling nca(s.net, s.tree);
   const std::uint64_t before = nca.rebuilds();
   for (int i = 0; i < 200; ++i) {
     nca.submit_add_leaf(workload::random_node(s.tree, rng),
@@ -119,7 +119,7 @@ TEST(DistNca, InternalRemovalRejected) {
   Sim s;
   Rng rng(5);
   workload::build(s.tree, workload::Shape::kPath, 5, rng);
-  DistributedNcaLabeling nca(s.net, s.tree);
+  NcaLabeling nca(s.net, s.tree);
   EXPECT_THROW(
       nca.submit_remove_leaf(s.tree.alive_nodes()[1], [](const Result&) {}),
       ContractError);

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_tree_routing.hpp"
+#include "apps/interval_labeling.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -45,7 +45,7 @@ std::uint64_t tree_distance(const DynamicTree& t, NodeId u, NodeId v) {
   return d;
 }
 
-void audit(const DynamicTree& t, const DistributedTreeRouting& router,
+void audit(const DynamicTree& t, const IntervalLabeling& router,
            Rng& rng, int samples) {
   const auto nodes = t.alive_nodes();
   if (nodes.size() < 2) return;
@@ -63,7 +63,7 @@ TEST(DistRouting, StaticRoutesCorrect) {
   Sim s;
   Rng rng(1);
   workload::build(s.tree, workload::Shape::kRandomAttach, 50, rng);
-  DistributedTreeRouting router(s.net, s.tree);
+  IntervalLabeling router(s.net, s.tree);
   audit(s.tree, router, rng, 200);
 }
 
@@ -71,7 +71,7 @@ TEST(DistRouting, SerializedChurnStaysStretchOne) {
   Sim s;
   Rng rng(2);
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
-  DistributedTreeRouting router(s.net, s.tree);
+  IntervalLabeling router(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(3));
   for (int i = 0; i < 250; ++i) {
@@ -101,7 +101,7 @@ TEST(DistRouting, ConcurrentBurstsStayCorrectAtQuiescence) {
     Sim s(kind, 37);
     Rng rng(5);
     workload::build(s.tree, workload::Shape::kRandomAttach, 40, rng);
-    DistributedTreeRouting router(s.net, s.tree);
+    IntervalLabeling router(s.net, s.tree);
     workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath,
                                    Rng(7));
     for (int burst = 0; burst < 30; ++burst) {
@@ -124,7 +124,7 @@ TEST(DistRouting, ShrinkRelabelsAndBitsStayTight) {
   Sim s;
   Rng rng(9);
   workload::build(s.tree, workload::Shape::kRandomAttach, 400, rng);
-  DistributedTreeRouting router(s.net, s.tree);
+  IntervalLabeling router(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kShrink, Rng(11));
   while (s.tree.size() > 16) {
     router.submit_remove(churn.next(s.tree).subject, [](const Result&) {});

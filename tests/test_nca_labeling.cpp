@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "apps/nca_labeling.hpp"
+#include "sync_result.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 
 namespace dyncon::apps {
 namespace {
 
+using core::Result;
 using tree::DynamicTree;
 
 /// Ground-truth NCA by walking parents.
@@ -90,7 +92,9 @@ TEST(NcaLabeling, LeafGraftsStayCorrect) {
   workload::build(t, workload::Shape::kRandomAttach, 24, rng);
   NcaLabeling nca(t);
   for (int i = 0; i < 30; ++i) {
-    const auto r = nca.request_add_leaf(workload::random_node(t, rng));
+    const NodeId parent = workload::random_node(t, rng);
+    const Result r =
+        sync_result([&](auto done) { nca.submit_add_leaf(parent, done); });
     ASSERT_TRUE(r.granted());
     if (i % 6 == 0) audit_all_pairs(t, nca);
   }
@@ -107,7 +111,9 @@ TEST(NcaLabeling, LeafRemovalsStayCorrect) {
     const auto nodes = t.alive_nodes();
     const NodeId v = nodes[rng.index(nodes.size())];
     if (v == t.root() || !t.is_leaf(v)) continue;
-    ASSERT_TRUE(nca.request_remove_leaf(v).granted());
+    ASSERT_TRUE(sync_result([&](auto done) {
+                  nca.submit_remove_leaf(v, done);
+                }).granted());
     ++removed;
     if (removed % 5 == 0) audit_all_pairs(t, nca);
   }
@@ -122,11 +128,14 @@ TEST(NcaLabeling, MixedLeafChurnWithRebuilds) {
   const std::uint64_t initial_rebuilds = nca.rebuilds();
   for (int i = 0; i < 500; ++i) {
     if (rng.chance(0.5)) {
-      nca.request_add_leaf(workload::random_node(t, rng));
+      nca.submit_add_leaf(workload::random_node(t, rng),
+                          [](const Result&) {});
     } else {
       const auto nodes = t.alive_nodes();
       const NodeId v = nodes[rng.index(nodes.size())];
-      if (v != t.root() && t.is_leaf(v)) nca.request_remove_leaf(v);
+      if (v != t.root() && t.is_leaf(v)) {
+        nca.submit_remove_leaf(v, [](const Result&) {});
+      }
     }
     if (i % 50 == 0) audit_all_pairs(t, nca);
   }
@@ -142,7 +151,9 @@ TEST(NcaLabeling, RejectsInternalRemoval) {
   DynamicTree t;
   workload::build(t, workload::Shape::kPath, 5, rng);
   NcaLabeling nca(t);
-  EXPECT_THROW(nca.request_remove_leaf(t.alive_nodes()[1]), ContractError);
+  EXPECT_THROW(
+      nca.submit_remove_leaf(t.alive_nodes()[1], [](const Result&) {}),
+      ContractError);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "apps/heavy_child.hpp"
 #include "apps/subtree_estimator.hpp"
+#include "sync_result.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
@@ -14,6 +15,7 @@
 namespace dyncon::apps {
 namespace {
 
+using core::Result;
 using tree::DynamicTree;
 using workload::ChurnGenerator;
 using workload::ChurnModel;
@@ -38,11 +40,15 @@ TEST(SubtreeEstimator, SuperWeightCountsEverything) {
   const NodeId mid = t.alive_nodes()[5];
   const std::uint64_t before = est.true_super_weight(mid);
   // Add below mid: super-weight grows.
-  const auto leaf = est.request_add_leaf(t.alive_nodes().back());
+  const NodeId last = t.alive_nodes().back();
+  const Result leaf =
+      sync_result([&](auto done) { est.submit_add_leaf(last, done); });
   ASSERT_TRUE(leaf.granted());
   EXPECT_EQ(est.true_super_weight(mid), before + 1);
   // Remove it again: super-weight does NOT shrink (ever-existed counting).
-  ASSERT_TRUE(est.request_remove(leaf.new_node).granted());
+  ASSERT_TRUE(sync_result([&](auto done) {
+                est.submit_remove(leaf.new_node, done);
+              }).granted());
   EXPECT_EQ(est.true_super_weight(mid), before + 1);
 }
 
@@ -55,12 +61,7 @@ TEST(SubtreeEstimator, EstimateNeverBelowConsumedChanges) {
   SubtreeEstimator est(t, 2.0);
   ChurnGenerator churn(ChurnModel::kBirthDeath, Rng(4));
   for (int i = 0; i < 300; ++i) {
-    const auto spec = churn.next(t);
-    if (spec.type == core::RequestSpec::Type::kAddLeaf) {
-      est.request_add_leaf(spec.subject);
-    } else {
-      est.request_remove(spec.subject);
-    }
+    est.submit(churn.next(t), [](const Result&) {});
   }
   // Root sees everything: its estimate must cover its true super-weight
   // within the protocol's approximation (and is never absurdly large).
@@ -81,7 +82,7 @@ TEST(SubtreeEstimator, ApproximationOnLargeSubtrees) {
   SubtreeEstimator est(t, beta);
   ChurnGenerator churn(ChurnModel::kGrowOnly, Rng(6));
   for (int i = 0; i < 250; ++i) {
-    est.request_add_leaf(churn.next(t).subject);
+    est.submit(churn.next(t), [](const Result&) {});
   }
   const double slack = 2.0;  // integer effects on top of beta
   for (NodeId v : t.alive_nodes()) {
@@ -140,20 +141,7 @@ void churn_and_audit(ChurnModel model, std::uint64_t n0, int steps,
   ChurnGenerator churn(model, Rng(seed + 1));
   for (int i = 0; i < steps; ++i) {
     if (t.size() < 4) break;
-    const auto spec = churn.next(t);
-    switch (spec.type) {
-      case core::RequestSpec::Type::kAddLeaf:
-        hc.request_add_leaf(spec.subject);
-        break;
-      case core::RequestSpec::Type::kAddInternal:
-        hc.request_add_internal_above(spec.subject);
-        break;
-      case core::RequestSpec::Type::kRemove:
-        hc.request_remove(spec.subject);
-        break;
-      default:
-        break;
-    }
+    hc.submit(churn.next(t), [](const Result&) {});
     if (i % 25 == 0) {
       ASSERT_LE(hc.max_light_ancestors(), log_bound(t.size()))
           << workload::churn_name(model) << " step " << i;
@@ -182,7 +170,7 @@ TEST(HeavyChild, MessagesAtMostDoubleEstimator) {
   workload::build(t, workload::Shape::kRandomAttach, 64, rng);
   HeavyChild hc(t);
   ChurnGenerator churn(ChurnModel::kGrowOnly, Rng(14));
-  for (int i = 0; i < 200; ++i) hc.request_add_leaf(churn.next(t).subject);
+  for (int i = 0; i < 200; ++i) hc.submit(churn.next(t), [](const Result&) {});
   EXPECT_LE(hc.messages(), 3 * hc.estimator().messages());
 }
 

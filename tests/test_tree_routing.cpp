@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/tree_routing.hpp"
+#include "apps/interval_labeling.hpp"
+#include "sync_result.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
@@ -12,6 +13,7 @@
 namespace dyncon::apps {
 namespace {
 
+using core::Result;
 using tree::DynamicTree;
 using workload::ChurnGenerator;
 using workload::ChurnModel;
@@ -38,7 +40,7 @@ std::uint64_t tree_distance(const DynamicTree& t, NodeId u, NodeId v) {
   return d;
 }
 
-void audit_routes(const DynamicTree& t, const TreeRouting& router,
+void audit_routes(const DynamicTree& t, const IntervalLabeling& router,
                   Rng& rng, int samples) {
   const auto nodes = t.alive_nodes();
   if (nodes.size() < 2) return;
@@ -60,7 +62,7 @@ TEST(TreeRouting, RoutesOnStaticShapes) {
     Rng rng(1);
     DynamicTree t;
     workload::build(t, shape, 50, rng);
-    TreeRouting router(t);
+    IntervalLabeling router(t);
     audit_routes(t, router, rng, 200);
   }
 }
@@ -69,7 +71,7 @@ TEST(TreeRouting, NextHopIsLocalDecision) {
   Rng rng(2);
   DynamicTree t;
   workload::build(t, workload::Shape::kBinary, 31, rng);
-  TreeRouting router(t);
+  IntervalLabeling router(t);
   const auto nodes = t.alive_nodes();
   // Hops toward an ancestor go up; toward a descendant go down the right
   // child; across go up first.
@@ -83,24 +85,11 @@ void churn_and_audit(ChurnModel model, std::uint64_t seed) {
   Rng rng(seed);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 40, rng);
-  TreeRouting router(t);
+  IntervalLabeling router(t);
   ChurnGenerator churn(model, Rng(seed + 1));
   for (int i = 0; i < 250; ++i) {
     if (t.size() < 4) break;
-    const auto spec = churn.next(t);
-    switch (spec.type) {
-      case core::RequestSpec::Type::kAddLeaf:
-        router.request_add_leaf(spec.subject);
-        break;
-      case core::RequestSpec::Type::kAddInternal:
-        router.request_add_internal_above(spec.subject);
-        break;
-      case core::RequestSpec::Type::kRemove:
-        router.request_remove(spec.subject);
-        break;
-      default:
-        break;
-    }
+    router.submit(churn.next(t), [](const Result&) {});
     if (i % 10 == 0) audit_routes(t, router, rng, 40);
   }
   audit_routes(t, router, rng, 100);
@@ -121,10 +110,13 @@ TEST(TreeRouting, ShrinkTriggersRelabelAndKeepsBitsTight) {
   Rng rng(7);
   DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 600, rng);
-  TreeRouting router(t);
+  IntervalLabeling router(t);
   ChurnGenerator churn(ChurnModel::kShrink, Rng(8));
   while (t.size() > 16) {
-    ASSERT_TRUE(router.request_remove(churn.next(t).subject).granted());
+    const NodeId v = churn.next(t).subject;
+    ASSERT_TRUE(sync_result([&](auto done) {
+                  router.submit_remove(v, done);
+                }).granted());
   }
   EXPECT_GT(router.relabels(), 1u);
   EXPECT_LE(router.label_bits(), ceil_log2(t.size()) + 10);
@@ -133,7 +125,7 @@ TEST(TreeRouting, ShrinkTriggersRelabelAndKeepsBitsTight) {
 
 TEST(TreeRouting, DegenerateQueriesRejected) {
   DynamicTree t;
-  TreeRouting router(t);
+  IntervalLabeling router(t);
   EXPECT_THROW(router.next_hop(t.root(), t.root()), ContractError);
 }
 

@@ -9,12 +9,11 @@
 
 #include <cstdint>
 
-#include "apps/distributed_ancestry_labeling.hpp"
-#include "apps/distributed_heavy_child.hpp"
 #include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_nca_labeling.hpp"
 #include "apps/distributed_size_estimation.hpp"
-#include "apps/distributed_tree_routing.hpp"
+#include "apps/heavy_child.hpp"
+#include "apps/interval_labeling.hpp"
+#include "apps/nca_labeling.hpp"
 #include "core/distributed_adaptive.hpp"
 #include "core/distributed_controller.hpp"
 #include "core/distributed_iterated.hpp"
@@ -183,7 +182,7 @@ TEST(WireProtocols, TreeRoutingUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedTreeRouting routing(s.net, s.tree);
+  apps::IntervalLabeling routing(s.net, s.tree);
   grow_leaves(s, routing, 60, 21);
   expect_wire_discipline(s, u);
 }
@@ -194,7 +193,7 @@ TEST(WireProtocols, NcaLabelingUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedNcaLabeling nca(s.net, s.tree);
+  apps::NcaLabeling nca(s.net, s.tree);
   grow_leaves(s, nca, 60, 25);
   expect_wire_discipline(s, u);
 }
@@ -205,7 +204,7 @@ TEST(WireProtocols, AncestryLabelingUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedAncestryLabeling anc(s.net, s.tree);
+  apps::IntervalLabeling anc(s.net, s.tree);
   grow_leaves(s, anc, 60, 29);
   expect_wire_discipline(s, u);
 }
@@ -216,7 +215,7 @@ TEST(WireProtocols, HeavyChildUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedHeavyChild heavy(s.net, s.tree);
+  apps::HeavyChild heavy(s.net, s.tree);
   churn_through(s, heavy, 60, workload::ChurnModel::kBirthDeath, 33);
   expect_wire_discipline(s, u);
 }
