@@ -9,7 +9,6 @@
 namespace dyncon::apps {
 
 using core::RequestSpec;
-using core::Result;
 
 HeavyChild::HeavyChild(tree::DynamicTree& tree, Options options)
     : HeavyChild(nullptr, tree, options) {}
@@ -67,12 +66,9 @@ void HeavyChild::recompute_heavy(NodeId v) {
 }
 
 void HeavyChild::submit(const RequestSpec& spec, Callback done) {
-  est_->submit(spec, [this, done = std::move(done)](const Result& r) {
-    if (r.granted() && r.new_node != kNoNode && tree_.alive(r.new_node)) {
-      on_estimate_update(r.new_node);
-    }
-    done(r);
-  });
+  // A granted new node reports to its parent through the estimator's
+  // on_estimate_update, like every other estimate change.
+  est_->submit(spec, std::move(done));
 }
 
 void HeavyChild::submit_add_leaf(NodeId parent, Callback done) {

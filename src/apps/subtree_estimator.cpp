@@ -30,7 +30,7 @@ SubtreeEstimator::SubtreeEstimator(sim::Network& net,
 SubtreeEstimator::SubtreeEstimator(sim::Network* net,
                                    tree::DynamicTree& tree, double beta,
                                    Options options)
-    : tree_(tree), options_(std::move(options)), centralized_(!net) {
+    : tree_(tree), options_(std::move(options)) {
   ISizeEstimation::Options se;
   se.track_domains = options_.track_domains;
   se.on_pass_down = [this](NodeId v, std::uint64_t permits) {
@@ -102,9 +102,8 @@ void SubtreeEstimator::submit(const RequestSpec& spec, Callback done) {
           cur = tree_.parent(cur);
           sw_[cur] += 1;
         }
-        if (internal && centralized_ && options_.on_estimate_update) {
-          options_.on_estimate_update(u);
-        }
+        // The new node's first estimate: one update, leaf or internal.
+        if (options_.on_estimate_update) options_.on_estimate_update(u);
       }
     }
     done(r);

@@ -88,7 +88,6 @@ class SubtreeEstimator {
 
   tree::DynamicTree& tree_;
   Options options_;
-  bool centralized_;
   std::unique_ptr<ISizeEstimation> size_est_;
 
   std::unordered_map<NodeId, std::uint64_t> w0_;      ///< iteration baseline

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <unordered_map>
 
 #include "apps/heavy_child.hpp"
 #include "apps/subtree_estimator.hpp"
@@ -91,6 +94,46 @@ TEST(SubtreeEstimator, ApproximationOnLargeSubtrees) {
     const double e = static_cast<double>(est.estimate(v));
     EXPECT_GE(e * beta * slack, sw) << "node " << v;
     EXPECT_LE(e, beta * slack * sw) << "node " << v;
+  }
+}
+
+TEST(SubtreeEstimator, OneUpdatePerNewNode) {
+  // A granted new node reports its first estimate exactly once, leaf or
+  // internal, on either stack; an add-leaf at a parent already holding the
+  // permits (the root) updates nothing at the parent.
+  for (const bool simulated : {false, true}) {
+    SCOPED_TRACE(simulated ? "simulator" : "centralized");
+    sim::EventQueue queue;
+    sim::Network net(queue, sim::make_delay(sim::DelayKind::kFixed, 1));
+    Rng rng(15);
+    DynamicTree t;
+    workload::build(t, workload::Shape::kRandomAttach, 32, rng);
+    std::unordered_map<NodeId, int> calls;
+    SubtreeEstimator::Options opts;
+    opts.on_estimate_update = [&calls](NodeId v) { ++calls[v]; };
+    auto est = simulated
+                   ? std::make_unique<SubtreeEstimator>(net, t, 2.0, opts)
+                   : std::make_unique<SubtreeEstimator>(t, 2.0, opts);
+    const auto run = [&](const core::RequestSpec& spec) {
+      calls.clear();
+      std::optional<Result> out;
+      est->submit(spec, [&out](const Result& r) { out = r; });
+      queue.run();
+      EXPECT_TRUE(out.has_value() && out->granted());
+      return out.value_or(Result{}).new_node;
+    };
+    const NodeId leaf =
+        run({core::RequestSpec::Type::kAddLeaf, t.root()});
+    EXPECT_EQ(calls[leaf], 1);
+    EXPECT_EQ(calls[t.root()], 0);
+    for (int i = 0; i < 12; ++i) {
+      const NodeId v = workload::random_node(t, rng);
+      if (i % 2 == 0) {
+        EXPECT_EQ(calls[run({core::RequestSpec::Type::kAddLeaf, v})], 1);
+      } else if (v != t.root()) {
+        EXPECT_EQ(calls[run({core::RequestSpec::Type::kAddInternal, v})], 1);
+      }
+    }
   }
 }
 
