@@ -12,10 +12,12 @@
 //                 wall-clock time.  Mismatch aborts the binary.  The same
 //                 gate re-runs at a deliberately tiny --resident-trees
 //                 budget: hibernation may only change wall-clock time too.
-//   scaling       requests/sec grows with shards; on a machine with >= 4
-//                 hardware threads the 4-shard run must clear 2x the
-//                 1-shard run (ISSUE 6 acceptance bar; reported either way
-//                 as perf.forest.speedup.s4).
+//   scaling       requests/sec grows with shards, reported as
+//                 perf.forest.speedup.sN.  The 2x-at-4-shards bar is
+//                 gated in one place, tools/check_bench.py
+//                 --forest-speedup-min; the binary reports any speedup and
+//                 always runs every later phase, so a slow run's report
+//                 stays complete.
 //   allocation    the steady-state shard loop allocates ~0 per event: the
 //                 echo-service phase (engine machinery only, shards=1 so
 //                 the loop runs inline with no pool, --eager so one-time
@@ -224,11 +226,9 @@ int main(int argc, char** argv) {
                       "cross_shard", "builds", "reqs/sec", "speedup"});
   const double base_rate =
       static_cast<double>(points[0].stats.requests) / points[0].secs;
-  double speedup4 = 0.0;
   for (const SweepPoint& pt : points) {
     const double rate = static_cast<double>(pt.stats.requests) / pt.secs;
     const double speedup = rate / base_rate;
-    if (pt.shards == 4) speedup4 = speedup;
     table.row({bench::num(pt.shards), bench::num(pt.stats.requests),
                bench::num(pt.stats.granted), bench::num(pt.stats.windows),
                bench::num(pt.stats.events), bench::num(pt.stats.cross_shard),
@@ -244,21 +244,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n  determinism: all %zu shard counts byte-identical  [ok]\n",
               points.size());
-
-  // The 2x-at-4-shards acceptance bar only binds with real parallelism
-  // underneath, and only for the default-scale workload it was set against
-  // (a scaled-up forest under a tight residency budget is eviction-bound:
-  // wall clock goes to hibernate/wake churn, which the bar never priced).
-  // On smaller machines / scaled runs the sweep still validates
-  // determinism, and check_bench gates the scale cell's memory figures.
-  const bool default_scale =
-      knobs.trees == 64 && knobs.users == 8192 && knobs.resident == 0;
-  if (default_scale && hw >= 4 && speedup4 > 0.0 && speedup4 < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: 4-shard speedup %.2fx < 2x on %u hardware threads\n",
-                 speedup4, hw);
-    return 1;
-  }
 
   bench::subhead("memory model (eager build priced against the lazy engine)");
   {

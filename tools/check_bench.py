@@ -32,10 +32,11 @@ diff.  Instead they are checked within the current report alone:
   * with ``--forest-speedup-min X``, ``perf.forest.speedup.s4`` must reach
     X under the same >= 4 hardware-threads condition (EXP19's acceptance
     bar);
-  * ``perf.forest.allocs_per_event``, when present, must stay at ~0 (the
-    absolute allocs floor): the steady-state shard loop is allocation-free
-    by design on every machine, so this one is NOT tolerance-scaled
-    against a baseline.
+  * ``perf.forest.allocs_per_event`` must stay at ~0 (the absolute allocs
+    floor): the steady-state shard loop is allocation-free by design on
+    every machine, so this one is NOT tolerance-scaled against a baseline.
+    A report that has ``forest.requests.total`` but lacks the gauge fails:
+    the forest run stopped before its allocation phase.
 
 The ``perf.parallel.events``/``.runs`` counters stay in the exact-match
 set, and so do the deterministic ``forest.*`` workload counters (request
@@ -228,6 +229,11 @@ def main() -> None:
                 f"allocate per event (on any machine)")
         else:
             checked += 1
+    elif "forest.requests.total" in cur["counters"]:
+        errors.append(
+            "perf.forest.allocs_per_event missing from a report with "
+            "forest.requests.total: the forest run stopped before its "
+            "allocation phase")
     if args.forest_speedup_min is not None:
         hw = cur["gauges"].get("perf.forest.hw_threads", 0.0)
         speedup = cur["gauges"].get("perf.forest.speedup.s4")
