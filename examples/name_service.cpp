@@ -72,16 +72,16 @@ int main() {
   const auto nodes = mirror.alive_nodes();
   const NodeId a = nodes[nodes.size() / 3];
   const NodeId b = nodes[2 * nodes.size() / 3];
+  const bool labels_agree =
+      labels.is_ancestor(a, b) == mirror.is_ancestor(a, b);
   std::printf("\nquery: is node %llu an ancestor of node %llu?  labels say "
               "%s, tree agrees: %s\n",
               static_cast<unsigned long long>(a),
               static_cast<unsigned long long>(b),
               labels.is_ancestor(a, b) ? "yes" : "no",
-              labels.is_ancestor(a, b) == mirror.is_ancestor(a, b)
-                  ? "yes"
-                  : "NO (bug!)");
+              labels_agree ? "yes" : "NO (bug!)");
   std::printf("names stayed unique: %s; names <= 4n and labels ~log n bits "
               "throughout.\n",
               names.ids_unique() ? "yes" : "NO (bug!)");
-  return 0;
+  return labels_agree && names.ids_unique() ? 0 : 1;
 }
