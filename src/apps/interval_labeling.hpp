@@ -54,6 +54,9 @@ class IntervalLabeling {
                    Options options);
   IntervalLabeling(sim::Network& net, tree::DynamicTree& tree)
       : IntervalLabeling(net, tree, Options{}) {}
+  // The layer's callbacks hold `this`.
+  IntervalLabeling(const IntervalLabeling&) = delete;
+  IntervalLabeling& operator=(const IntervalLabeling&) = delete;
 
   // Controlled topological changes (through the size estimator).
   void submit(const core::RequestSpec& spec, Callback done);

@@ -56,6 +56,9 @@ class NcaLabeling {
   NcaLabeling(sim::Network& net, tree::DynamicTree& tree, Options options);
   NcaLabeling(sim::Network& net, tree::DynamicTree& tree)
       : NcaLabeling(net, tree, Options{}) {}
+  // Pending requests' callbacks hold `this`.
+  NcaLabeling(const NcaLabeling&) = delete;
+  NcaLabeling& operator=(const NcaLabeling&) = delete;
 
   void submit_add_leaf(NodeId parent, Callback done);
   void submit_remove_leaf(NodeId v, Callback done);

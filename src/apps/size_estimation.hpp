@@ -41,6 +41,9 @@ class ISizeEstimation {
     std::function<void()> on_iteration_start;
   };
 
+  ISizeEstimation() = default;
+  ISizeEstimation(const ISizeEstimation&) = delete;
+  ISizeEstimation& operator=(const ISizeEstimation&) = delete;
   virtual ~ISizeEstimation() = default;
 
   /// Submit a topological request (kEvent requests are rejected by

@@ -51,6 +51,9 @@ class SubtreeEstimator {
                    Options options);
   SubtreeEstimator(sim::Network& net, tree::DynamicTree& tree, double beta)
       : SubtreeEstimator(net, tree, beta, Options{}) {}
+  // The layer's callbacks hold `this`.
+  SubtreeEstimator(const SubtreeEstimator&) = delete;
+  SubtreeEstimator& operator=(const SubtreeEstimator&) = delete;
 
   void submit(const core::RequestSpec& spec, Callback done);
   void submit_add_leaf(NodeId parent, Callback done);
