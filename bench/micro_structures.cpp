@@ -14,6 +14,7 @@
 #include "agent/convergecast.hpp"
 #include "agent/durable.hpp"
 #include "agent/whiteboard.hpp"
+#include "forest/forest.hpp"
 #include "forest/hibernate.hpp"
 #include "forest/tree_slab.hpp"
 #include "core/centralized_controller.hpp"
@@ -29,6 +30,7 @@
 #include "sim/watchdog.hpp"
 #include "util/rng.hpp"
 #include "tree/validate.hpp"
+#include "workload/request_mux.hpp"
 #include "workload/shapes.hpp"
 
 // Global allocation counter (same technique as bench/perf_suite.cpp): count
@@ -494,6 +496,65 @@ void BM_CentralizedRequest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedRequest)->Arg(256)->Arg(4096);
+
+void BM_CentralizedRequestAllocs(benchmark::State& state) {
+  // One forest tree's controller: forest::tree_params on a 48-node tree,
+  // serving the forest's default op mix the way the engine does (grows past
+  // the grow cap are refused, so node ids stay below U).  Package slots are
+  // recycled and the filler search reuses one path buffer, so a warm
+  // request must not touch the allocator.
+  forest::ForestConfig cfg;
+  cfg.tree_size = 48;
+  const std::uint64_t cap = forest::resolved_grow_cap(cfg);
+  const workload::MuxConfig mix;
+  tree::DynamicTree t;
+  Rng build_rng(0x5eed5eedULL);
+  forest::build_initial_topology(t, build_rng, cfg.tree_size);
+  core::CentralizedController::Options opts;
+  opts.track_domains = false;
+  core::CentralizedController ctrl(t, forest::tree_params(cfg), opts);
+  Rng rng(0xfeedbeefULL);
+  std::vector<NodeId> grown;
+  grown.reserve(cap);
+  std::uint64_t grows = 0;
+  auto serve = [&] {
+    const auto site = static_cast<NodeId>(
+        rng.index(static_cast<std::size_t>(cfg.tree_size)));
+    const double x = rng.uniform01();
+    if (x < mix.grow_fraction) {
+      if (grows >= cap) return core::Outcome::kMoot;
+      const core::Result res = ctrl.request_add_leaf(site);
+      if (res.granted()) {
+        grown.push_back(res.new_node);
+        ++grows;
+      }
+      return res.outcome;
+    }
+    if (x < mix.grow_fraction + mix.shrink_fraction) {
+      if (grown.empty()) return core::Outcome::kMoot;
+      const core::Result res = ctrl.request_remove(grown.back());
+      if (res.granted()) grown.pop_back();
+      return res.outcome;
+    }
+    return ctrl.request_event(site).outcome;
+  };
+  // Warm up until the grow cap is spent: every node id the tree will mint
+  // exists by then, so the tree's own storage has stopped growing.
+  while (grows < cap) serve();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve());
+    ++ops;
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const double per_op =
+      ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
+  state.counters["allocs_per_op"] = per_op;
+  check_steady_state_allocs("CentralizedController request (forest mix)",
+                            per_op);
+}
+BENCHMARK(BM_CentralizedRequestAllocs);
 
 void BM_DistributedRequest(benchmark::State& state) {
   Rng rng(7);

@@ -148,7 +148,8 @@ Result CentralizedController::handle_impl(NodeId u, const EventSpec& ev) {
   // Step 3: climb from u to the root looking for the closest filler node.
   // The filler windows of distinct levels partition the distances, so at
   // hop distance d only a mobile package of level window(d) qualifies.
-  std::vector<NodeId> path{u};  // path[i] = ancestor of u at distance i
+  path_.clear();  // path_[i] = ancestor of u at distance i
+  path_.push_back(u);
   std::uint64_t d = 0;
   NodeId w = u;
   for (;;) {
@@ -159,11 +160,11 @@ Result CentralizedController::handle_impl(NodeId u, const EventSpec& ev) {
         p != kNoPackage) {
       static thread_local obs::CounterHandle steps("filler_search.steps");
       steps.add(d);
-      return distribute_and_grant(p, lvl, path, d, u, ev);
+      return distribute_and_grant(p, lvl, d, u, ev);
     }
     if (w == tree_.root()) break;
     w = tree_.parent(w);
-    path.push_back(w);
+    path_.push_back(w);
     ++d;
   }
   static thread_local obs::CounterHandle steps("filler_search.steps");
@@ -191,7 +192,7 @@ Result CentralizedController::handle_impl(NodeId u, const EventSpec& ev) {
   if (!storage_serials_.empty()) serials = storage_serials_.take_low(need);
   storage_ -= need;
   const PackageId p = packages_.create_mobile(tree_.root(), j, need, serials);
-  return distribute_and_grant(p, j, path, d, u, ev);
+  return distribute_and_grant(p, j, d, u, ev);
 }
 
 Result CentralizedController::grant_from_static(PackageId st, NodeId u,
@@ -249,9 +250,12 @@ void CentralizedController::start_reject_wave() {
                             nodes.size(), 0});
 }
 
-Result CentralizedController::distribute_and_grant(
-    PackageId p, std::uint32_t j, const std::vector<NodeId>& path,
-    std::uint64_t dist, NodeId u, const EventSpec& ev) {
+Result CentralizedController::distribute_and_grant(PackageId p,
+                                                   std::uint32_t j,
+                                                   std::uint64_t dist,
+                                                   NodeId u,
+                                                   const EventSpec& ev) {
+  const std::vector<NodeId>& path = path_;
   DYNCON_INVARIANT(path.size() == dist + 1 && path[dist] == packages_.get(p).host,
                    "path/host mismatch");
   PackageId cur = p;

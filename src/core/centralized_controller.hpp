@@ -128,9 +128,10 @@ class CentralizedController final : public IController {
   /// in their original shard registry before hibernation).
   void restore_image(const Image& img);
 
-  /// Rough heap footprint in bytes (delegates to the package table).
+  /// Rough heap footprint in bytes: the package table plus the path
+  /// buffer.
   [[nodiscard]] std::uint64_t approx_bytes() const {
-    return packages_.approx_bytes();
+    return packages_.approx_bytes() + path_.capacity() * sizeof(NodeId);
   }
 
  private:
@@ -154,10 +155,9 @@ class CentralizedController final : public IController {
   Result grant_from_static(PackageId st, NodeId u, const EventSpec& ev);
   void apply_event(NodeId u, const EventSpec& ev, Result& res);
   void start_reject_wave();
-  /// Distribute package `p` (level j, hosted at path[dist]) down `path`
-  /// (path[i] = ancestor of u at distance i), then grant at u.
+  /// Distribute package `p` (level j, hosted at path_[dist]) down path_
+  /// (path_[i] = ancestor of u at distance i), then grant at u.
   Result distribute_and_grant(PackageId p, std::uint32_t j,
-                              const std::vector<NodeId>& path,
                               std::uint64_t dist, NodeId u,
                               const EventSpec& ev);
 
@@ -173,6 +173,10 @@ class CentralizedController final : public IController {
   std::uint64_t rejects_ = 0;
   bool wave_ = false;
   bool exhausted_ = false;
+  /// The filler search's walk from u to the root, reused across requests
+  /// so a warm request allocates nothing.  The on_pass_down hook must not
+  /// re-enter the controller while it is read.
+  std::vector<NodeId> path_;
 };
 
 }  // namespace dyncon::core

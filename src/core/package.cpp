@@ -1,6 +1,6 @@
 #include "core/package.hpp"
 
-#include <algorithm>
+#include <tuple>
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -9,17 +9,37 @@
 namespace dyncon::core {
 
 namespace {
-const std::vector<PackageId> kEmpty;
+constexpr std::uint64_t kSlotMask = 0xffffffffULL;
+constexpr std::uint64_t kGeneration = std::uint64_t{1} << 32;
+}  // namespace
+
+PackageId PackageTable::HostView::iterator::operator*() const {
+  return (*slots_)[slot_].pkg.id;
+}
+
+PackageTable::HostView::iterator&
+PackageTable::HostView::iterator::operator++() {
+  slot_ = (*slots_)[slot_].next;
+  return *this;
+}
+
+std::size_t PackageTable::HostView::size() const {
+  std::size_t n = 0;
+  for (std::uint32_t s = head_; s != kNil; s = (*slots_)[s].next) ++n;
+  return n;
+}
+
+PackageId PackageTable::HostView::front() const {
+  DYNCON_REQUIRE(!empty(), "front() of an empty host");
+  return (*slots_)[head_].pkg.id;
 }
 
 PackageId PackageTable::create_mobile(NodeId host, std::uint32_t level,
                                       std::uint64_t size, Interval serials) {
   DYNCON_REQUIRE(serials.empty() || serials.size() == size,
                  "serial interval size must match package size");
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kMobile, host, size, level, serials, true});
-  attach(id, host);
+  const PackageId id =
+      emplace(PackageKind::kMobile, host, size, level, serials);
   static thread_local obs::CounterHandle created("package.created");
   created.add();
   return id;
@@ -30,26 +50,18 @@ PackageId PackageTable::create_static(NodeId host, std::uint64_t size,
   DYNCON_REQUIRE(size >= 1, "static package must hold >= 1 permit");
   DYNCON_REQUIRE(serials.empty() || serials.size() == size,
                  "serial interval size must match package size");
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kStatic, host, size, 0, serials, true});
-  attach(id, host);
-  return id;
+  return emplace(PackageKind::kStatic, host, size, 0, serials);
 }
 
 PackageId PackageTable::create_reject(NodeId host) {
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kReject, host, 0, 0, Interval{}, true});
-  attach(id, host);
-  return id;
+  return emplace(PackageKind::kReject, host, 0, 0, Interval{});
 }
 
 void PackageTable::move(PackageId p, NodeId new_host, std::uint64_t hops) {
-  Package& pkg = mut(p);
-  detach(p);
-  pkg.host = new_host;
-  attach(p, new_host);
+  const std::uint32_t s = slot_of(p);
+  ensure_host(new_host);
+  detach(s);
+  attach(s, new_host);
   moves_ += hops;
   // Same name as move_all()'s handle on purpose (both feed "moves.total");
   // each function-local static binds its own epoch, so neither can observe
@@ -60,33 +72,48 @@ void PackageTable::move(PackageId p, NodeId new_host, std::uint64_t hops) {
 }
 
 void PackageTable::pick_up(PackageId p) {
-  Package& pkg = mut(p);
+  const std::uint32_t s = slot_of(p);
+  Package& pkg = slots_[s].pkg;
   DYNCON_REQUIRE(pkg.kind == PackageKind::kMobile, "pick_up of non-mobile");
   DYNCON_REQUIRE(pkg.host != kNoNode, "package already carried");
-  detach(p);
+  detach(s);
   pkg.host = kNoNode;
 }
 
 void PackageTable::put_down(PackageId p, NodeId node) {
-  Package& pkg = mut(p);
-  DYNCON_REQUIRE(pkg.host == kNoNode, "put_down of a hosted package");
-  pkg.host = node;
-  attach(p, node);
+  const std::uint32_t s = slot_of(p);
+  DYNCON_REQUIRE(slots_[s].pkg.host == kNoNode,
+                 "put_down of a hosted package");
+  ensure_host(node);
+  attach(s, node);
 }
 
 std::size_t PackageTable::move_all(NodeId node, NodeId parent) {
-  auto it = by_host_.find(node);
-  if (it == by_host_.end() || it->second.empty()) return 0;
-  std::vector<PackageId> moving = it->second;  // copy; attach mutates the map
-  for (PackageId p : moving) {
-    detach(p);
-    mut(p).host = parent;
-    attach(p, parent);
+  const std::uint32_t first = head_of(node);
+  if (first == kNil) return 0;
+  ensure_host(parent);
+  std::size_t moved = 0;
+  for (std::uint32_t s = first; s != kNil; s = slots_[s].next) {
+    slots_[s].pkg.host = parent;
+    ++moved;
+  }
+  if (parent != node) {
+    // Splice the whole list onto parent's tail: the order moving each
+    // package in turn would give, without unlinking them one by one.
+    slots_[first].prev = tail_[parent];
+    if (tail_[parent] == kNil) {
+      head_[parent] = first;
+    } else {
+      slots_[tail_[parent]].next = first;
+    }
+    tail_[parent] = tail_[node];
+    head_[node] = kNil;
+    tail_[node] = kNil;
   }
   moves_ += 1;  // one message carries the whole set (paper §2.2)
   static thread_local obs::CounterHandle moves("moves.total");
   moves.add();
-  return moving.size();
+  return moved;
 }
 
 std::pair<PackageId, PackageId> PackageTable::split_mobile(PackageId p) {
@@ -127,138 +154,162 @@ std::optional<std::uint64_t> PackageTable::consume_one(PackageId p) {
 }
 
 void PackageTable::cancel(PackageId p) {
-  Package& pkg = mut(p);
-  detach(p);
-  pkg.alive = false;
+  const std::uint32_t s = slot_of(p);
+  Slot& slot = slots_[s];
+  if (slot.pkg.host != kNoNode) detach(s);
+  slot.pkg.alive = false;
+  slot.pkg.id += kGeneration;  // the next package in this slot gets a new id
+  slot.next = free_head_;
+  free_head_ = s;
+  --alive_;
 }
 
 bool PackageTable::alive(PackageId p) const {
-  return p < packages_.size() && packages_[static_cast<std::size_t>(p)].alive;
+  const std::uint64_t s = p & kSlotMask;
+  return s < slots_.size() && slots_[s].pkg.alive && slots_[s].pkg.id == p;
 }
 
 const Package& PackageTable::get(PackageId p) const {
-  DYNCON_REQUIRE(p < packages_.size(), "unknown package id");
-  const Package& pkg = packages_[static_cast<std::size_t>(p)];
-  DYNCON_REQUIRE(pkg.alive, "access to dead package");
-  return pkg;
+  return slots_[slot_of(p)].pkg;
 }
 
-Package& PackageTable::mut(PackageId p) {
-  return const_cast<Package&>(get(p));
-}
-
-const std::vector<PackageId>& PackageTable::at(NodeId node) const {
-  auto it = by_host_.find(node);
-  return it == by_host_.end() ? kEmpty : it->second;
+std::uint32_t PackageTable::slot_of(PackageId p) const {
+  const std::uint64_t s = p & kSlotMask;
+  DYNCON_REQUIRE(s < slots_.size(), "unknown package id");
+  const Package& pkg = slots_[s].pkg;
+  DYNCON_REQUIRE(pkg.alive && pkg.id == p, "access to dead package");
+  return static_cast<std::uint32_t>(s);
 }
 
 bool PackageTable::has_reject(NodeId node) const {
-  for (PackageId p : at(node)) {
-    if (get(p).kind == PackageKind::kReject) return true;
+  for (std::uint32_t s = head_of(node); s != kNil; s = slots_[s].next) {
+    if (slots_[s].pkg.kind == PackageKind::kReject) return true;
   }
   return false;
 }
 
 PackageId PackageTable::find_static(NodeId node) const {
-  for (PackageId p : at(node)) {
-    if (get(p).kind == PackageKind::kStatic) return p;
+  for (std::uint32_t s = head_of(node); s != kNil; s = slots_[s].next) {
+    if (slots_[s].pkg.kind == PackageKind::kStatic) return slots_[s].pkg.id;
   }
   return kNoPackage;
 }
 
 PackageId PackageTable::find_mobile_of_level(NodeId node,
                                              std::uint32_t level) const {
-  for (PackageId p : at(node)) {
-    const Package& pkg = get(p);
-    if (pkg.kind == PackageKind::kMobile && pkg.level == level) return p;
+  for (std::uint32_t s = head_of(node); s != kNil; s = slots_[s].next) {
+    const Package& pkg = slots_[s].pkg;
+    if (pkg.kind == PackageKind::kMobile && pkg.level == level) return pkg.id;
   }
   return kNoPackage;
 }
 
 std::vector<PackageId> PackageTable::all_alive() const {
   std::vector<PackageId> out;
-  for (const Package& pkg : packages_) {
-    if (pkg.alive) out.push_back(pkg.id);
+  for (const Slot& slot : slots_) {
+    if (slot.pkg.alive) out.push_back(slot.pkg.id);
   }
   return out;
 }
 
 std::uint64_t PackageTable::permits_in_packages() const {
   std::uint64_t total = 0;
-  for (const Package& pkg : packages_) {
+  for (const Slot& slot : slots_) {
+    const Package& pkg = slot.pkg;
     if (pkg.alive && pkg.kind != PackageKind::kReject) total += pkg.size;
   }
   return total;
 }
 
 void PackageTable::extract_image(Image& out) const {
-  out.next_id = packages_.size();
   out.moves = moves_;
   out.alive.clear();
-  std::vector<NodeId> hosts;
-  hosts.reserve(by_host_.size());
-  for (const auto& [host, pkgs] : by_host_) hosts.push_back(host);
-  std::sort(hosts.begin(), hosts.end());
-  for (NodeId host : hosts) {
-    for (PackageId p : by_host_.at(host)) {
-      const Package& pkg = get(p);
+  // A forest tree between requests usually holds no package at all.
+  for (NodeId host = 0; alive_ != 0 && host < head_.size(); ++host) {
+    for (std::uint32_t s = head_[host]; s != kNil; s = slots_[s].next) {
+      const Package& pkg = slots_[s].pkg;
       DYNCON_REQUIRE(pkg.serials.empty(),
                      "extract_image: serial-tracking packages not supported");
-      out.alive.push_back(Record{pkg.id, pkg.kind, pkg.host, pkg.size,
-                                 pkg.level});
+      out.alive.push_back(Record{pkg.kind, host, pkg.size, pkg.level});
     }
   }
-  // by_host_ indexes exactly the alive packages (carried ones would hide at
-  // host kNoNode, which never appears as a tree node id).
-  std::uint64_t alive_count = 0;
-  for (const Package& pkg : packages_) {
-    if (pkg.alive) {
-      DYNCON_REQUIRE(pkg.host != kNoNode,
-                     "extract_image: carried packages not supported");
-      ++alive_count;
-    }
-  }
-  DYNCON_INVARIANT(alive_count == out.alive.size(),
-                   "extract_image: host index out of sync");
+  // The host lists hold exactly the hosted packages; an alive package in
+  // none of them rides in an agent's Bag.
+  DYNCON_REQUIRE(alive_ == out.alive.size(),
+                 "extract_image: carried packages not supported");
 }
 
 void PackageTable::restore_image(const Image& img) {
-  DYNCON_REQUIRE(packages_.empty() && by_host_.empty() && moves_ == 0,
+  DYNCON_REQUIRE(slots_.empty() && moves_ == 0,
                  "restore_image into a non-fresh table");
-  packages_.assign(static_cast<std::size_t>(img.next_id), Package{});
+  slots_.reserve(img.alive.size());
   for (const Record& rec : img.alive) {
-    DYNCON_REQUIRE(rec.id < img.next_id, "restore_image: id beyond next_id");
-    Package& pkg = packages_[static_cast<std::size_t>(rec.id)];
-    DYNCON_REQUIRE(!pkg.alive, "restore_image: duplicate package id");
-    pkg = Package{rec.id, rec.kind, rec.host, rec.size, rec.level,
-                  Interval{}, true};
-    by_host_[rec.host].push_back(rec.id);
+    emplace(rec.kind, rec.host, rec.size, rec.level, Interval{});
   }
   moves_ = img.moves;
 }
 
 std::uint64_t PackageTable::approx_bytes() const {
-  std::uint64_t bytes = packages_.capacity() * sizeof(Package);
-  bytes += by_host_.bucket_count() * sizeof(void*);
-  for (const auto& [host, pkgs] : by_host_) {
-    bytes += sizeof(NodeId) + sizeof(std::vector<PackageId>) + 16;
-    bytes += pkgs.capacity() * sizeof(PackageId);
+  return slots_.capacity() * sizeof(Slot) +
+         (head_.capacity() + tail_.capacity()) * sizeof(std::uint32_t);
+}
+
+PackageId PackageTable::emplace(PackageKind kind, NodeId host,
+                                std::uint64_t size, std::uint32_t level,
+                                Interval serials) {
+  ensure_host(host);
+  std::uint32_t s = free_head_;
+  if (s != kNil) {
+    free_head_ = slots_[s].next;
+  } else {
+    DYNCON_REQUIRE(slots_.size() < kNil, "package slot space exhausted");
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back().pkg.id = s;  // generation 0
   }
-  return bytes;
+  Package& pkg = slots_[s].pkg;
+  pkg = Package{pkg.id, host, size, serials, level, kind, true};
+  attach(s, host);
+  ++alive_;
+  return pkg.id;
 }
 
-void PackageTable::attach(PackageId p, NodeId host) {
-  by_host_[host].push_back(p);
+void PackageTable::ensure_host(NodeId host) {
+  DYNCON_REQUIRE(host < kNil, "package host must be a tree node id");
+  if (host >= head_.size()) {
+    head_.resize(static_cast<std::size_t>(host) + 1, kNil);
+    tail_.resize(static_cast<std::size_t>(host) + 1, kNil);
+  }
 }
 
-void PackageTable::detach(PackageId p) {
-  auto it = by_host_.find(get(p).host);
-  DYNCON_INVARIANT(it != by_host_.end(), "package host index missing");
-  auto& vec = it->second;
-  auto pit = std::find(vec.begin(), vec.end(), p);
-  DYNCON_INVARIANT(pit != vec.end(), "package missing from host index");
-  vec.erase(pit);
-  if (vec.empty()) by_host_.erase(it);
+void PackageTable::attach(std::uint32_t s, NodeId host) {
+  Slot& slot = slots_[s];
+  slot.pkg.host = host;
+  slot.prev = tail_[host];
+  slot.next = kNil;
+  if (slot.prev == kNil) {
+    head_[host] = s;
+  } else {
+    slots_[slot.prev].next = s;
+  }
+  tail_[host] = s;
+}
+
+void PackageTable::detach(std::uint32_t s) {
+  Slot& slot = slots_[s];
+  const NodeId host = slot.pkg.host;
+  DYNCON_INVARIANT(host < head_.size(), "package host index missing");
+  if (slot.prev == kNil) {
+    head_[host] = slot.next;
+  } else {
+    slots_[slot.prev].next = slot.next;
+  }
+  if (slot.next == kNil) {
+    tail_[host] = slot.prev;
+  } else {
+    slots_[slot.next].prev = slot.prev;
+  }
+  slot.prev = kNil;
+  slot.next = kNil;
 }
 
 }  // namespace dyncon::core

@@ -21,13 +21,26 @@
 // handoff (all packages of a node to its parent in one message) is charged
 // one move, exactly as in Lemma 3.3's accounting.
 //
+// Storage is bounded by the packages alive now, not by the packages ever
+// created (Claim 4.8 has no term for past requests).  Packages live in a
+// slot vector recycled through a free list, so the slot count never
+// exceeds the peak number of alive packages.  A `PackageId` is
+// `(generation << 32) | slot`; canceling a package bumps its slot's
+// generation, so ids stay unique (DomainTracker keys on them) and a stale
+// id is caught by `get` / `alive`.  Each host's packages form an intrusive
+// doubly linked list through the slots, in arrival order: head and tail
+// live in two columns indexed by the host's (dense) tree node id.  Arrival
+// order is load-bearing — find_static / find_mobile_of_level return the
+// first match in it.
+//
 // Packages optionally carry an Interval of permit serial numbers; the
 // name-assignment protocol (§5.2) uses these, the plain controller leaves
 // them empty.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/params.hpp"
@@ -44,18 +57,65 @@ enum class PackageKind : std::uint8_t { kMobile, kStatic, kReject };
 
 struct Package {
   PackageId id = kNoPackage;
-  PackageKind kind = PackageKind::kMobile;
   NodeId host = kNoNode;
   std::uint64_t size = 0;   ///< permits (0 for reject packages)
-  std::uint32_t level = 0;  ///< meaningful for mobile packages only
   Interval serials;         ///< optional serial-number payload
+  std::uint32_t level = 0;  ///< meaningful for mobile packages only
+  PackageKind kind = PackageKind::kMobile;
   bool alive = false;
 };
 
-/// All packages of one controller instance, plus move-complexity accounting.
+/// All alive packages of one controller instance, plus move-complexity
+/// accounting.
 class PackageTable {
+  struct Slot;
+
  public:
   PackageTable() = default;
+
+  /// A host's packages in whiteboard (arrival) order: a non-allocating view
+  /// over the host's list.  Invalidated by any mutation of the table.
+  class HostView {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = PackageId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = PackageId;
+
+      iterator() = default;
+      PackageId operator*() const;
+      iterator& operator++();
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator&) const = default;
+
+     private:
+      friend class HostView;
+      iterator(const std::vector<Slot>* slots, std::uint32_t slot)
+          : slots_(slots), slot_(slot) {}
+      const std::vector<Slot>* slots_ = nullptr;
+      std::uint32_t slot_ = kNil;
+    };
+
+    [[nodiscard]] iterator begin() const { return {slots_, head_}; }
+    [[nodiscard]] iterator end() const { return {slots_, kNil}; }
+    [[nodiscard]] bool empty() const { return head_ == kNil; }
+    [[nodiscard]] std::size_t size() const;  ///< walks the list
+    [[nodiscard]] PackageId front() const;
+
+   private:
+    friend class PackageTable;
+    HostView(const std::vector<Slot>* slots, std::uint32_t head)
+        : slots_(slots), head_(head) {}
+    const std::vector<Slot>* slots_;
+    std::uint32_t head_;
+  };
 
   // ---- creation ------------------------------------------------------------
 
@@ -67,7 +127,8 @@ class PackageTable {
 
   // ---- mutation --------------------------------------------------------------
 
-  /// Move a package `hops` edges to `new_host`; charges `hops` moves.
+  /// Move a package `hops` edges to `new_host` (the tail of its list);
+  /// charges `hops` moves.
   void move(PackageId p, NodeId new_host, std::uint64_t hops);
 
   /// Erase a mobile package from its host's whiteboard into an agent's Bag
@@ -83,7 +144,8 @@ class PackageTable {
   }
 
   /// Move *all* packages at `node` to `parent` in one message (graceful
-  /// deletion); charges one move if any package moved.  Returns how many.
+  /// deletion), appended in their order after `parent`'s own; charges one
+  /// move if any package moved.  Returns how many.
   std::size_t move_all(NodeId node, NodeId parent);
 
   /// Split a mobile package of level >= 1 into two of level-1 lower, at the
@@ -97,31 +159,36 @@ class PackageTable {
   /// Returns the granted permit's serial number if the package tracks them.
   std::optional<std::uint64_t> consume_one(PackageId p);
 
-  /// Remove a package from the table.
+  /// Remove a package from the table; its slot is recycled under a new
+  /// generation, so `p` stays dead.
   void cancel(PackageId p);
 
   // ---- queries ----------------------------------------------------------------
 
   [[nodiscard]] bool alive(PackageId p) const;
   [[nodiscard]] const Package& get(PackageId p) const;
-  [[nodiscard]] const std::vector<PackageId>& at(NodeId node) const;
+  [[nodiscard]] HostView at(NodeId node) const {
+    return {&slots_, head_of(node)};
+  }
 
   [[nodiscard]] bool has_reject(NodeId node) const;
   [[nodiscard]] PackageId find_static(NodeId node) const;
   [[nodiscard]] PackageId find_mobile_of_level(NodeId node,
                                                std::uint32_t level) const;
 
-  /// All alive packages (for audits).
+  /// All alive packages, in slot order (for audits).
   [[nodiscard]] std::vector<PackageId> all_alive() const;
 
   /// Total permits currently held in alive (non-reject) packages.
   [[nodiscard]] std::uint64_t permits_in_packages() const;
 
+  /// Slots held (alive or free); never more than the peak alive count.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+
   // ---- hibernation images --------------------------------------------------
 
   /// One alive package, as recorded in an `Image`.
   struct Record {
-    PackageId id = kNoPackage;
     PackageKind kind = PackageKind::kMobile;
     NodeId host = kNoNode;
     std::uint64_t size = 0;
@@ -129,13 +196,12 @@ class PackageTable {
     bool operator==(const Record&) const = default;
   };
 
-  /// A complete, order-preserving snapshot of the table: `alive` lists
-  /// packages grouped by host in ascending host order, preserving each
-  /// host's whiteboard order (which find_static / find_mobile_of_level scan
-  /// positionally, so it is semantically load-bearing).  `next_id` keeps
-  /// the never-reused id space advancing across a hibernate cycle.
+  /// The table's alive packages, grouped by host in ascending host order
+  /// and in each host's whiteboard order (which find_static /
+  /// find_mobile_of_level scan positionally, so it is semantically
+  /// load-bearing).  Ids are not recorded: nothing outside the table keeps
+  /// one across a hibernate cycle, and a restore mints fresh ones.
   struct Image {
-    std::uint64_t next_id = 0;
     std::uint64_t moves = 0;
     std::vector<Record> alive;
     bool operator==(const Image&) const = default;
@@ -146,13 +212,14 @@ class PackageTable {
   /// every forest controller; the distributed layers never hibernate.
   void extract_image(Image& out) const;
 
-  /// Rebuild a *default-constructed* table from an image.  Replays no
-  /// creation/move paths, so `package.created` / `package.splits` /
+  /// Rebuild a *default-constructed* table from an image by re-creating
+  /// its packages in image order: O(alive) work, one slot each.  Replays
+  /// no creation/move paths, so `package.created` / `package.splits` /
   /// `moves.total` counters do not re-fire.
   void restore_image(const Image& img);
 
-  /// Rough heap footprint in bytes (package array plus host-index nodes);
-  /// an accounting estimate for `perf.mem.*`, not an allocator truth.
+  /// Heap footprint in bytes (slots plus the two host columns), from
+  /// capacities; an accounting estimate for `perf.mem.*`.
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   // ---- accounting ----------------------------------------------------------------
@@ -165,12 +232,34 @@ class PackageTable {
   }
 
  private:
-  Package& mut(PackageId p);
-  void attach(PackageId p, NodeId host);
-  void detach(PackageId p);
+  /// List terminator and "no slot"; also bounds the slot index space.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  std::vector<Package> packages_;
-  std::unordered_map<NodeId, std::vector<PackageId>> by_host_;
+  struct Slot {
+    Package pkg;  ///< pkg.id holds the slot's current generation
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;  ///< host list, or the free list when dead
+  };
+
+  PackageId emplace(PackageKind kind, NodeId host, std::uint64_t size,
+                    std::uint32_t level, Interval serials);
+  std::uint32_t slot_of(PackageId p) const;
+  /// First slot of `node`'s list, or kNil.
+  std::uint32_t head_of(NodeId node) const {
+    return node < head_.size() ? head_[node] : kNil;
+  }
+  Package& mut(PackageId p) { return slots_[slot_of(p)].pkg; }
+  /// Sizes the host columns for `host`; called before any mutation, so a
+  /// rejected host leaves the table unchanged.
+  void ensure_host(NodeId host);
+  void attach(std::uint32_t s, NodeId host);  ///< host's columns must exist
+  void detach(std::uint32_t s);
+
+  std::vector<Slot> slots_;
+  std::size_t alive_ = 0;  ///< alive packages, hosted or carried
+  std::uint32_t free_head_ = kNil;
+  std::vector<std::uint32_t> head_;  ///< by host: first slot, or kNil
+  std::vector<std::uint32_t> tail_;  ///< by host: last slot, or kNil
   std::uint64_t moves_ = 0;
 };
 

@@ -8,7 +8,8 @@ namespace dyncon::forest {
 
 namespace {
 
-constexpr std::uint64_t kTreeImageVersion = 1;
+// Version 2: package records carry no ids and the table no next_id.
+constexpr std::uint64_t kTreeImageVersion = 2;
 
 // One body writer for BitCounter / BitWriter, the wire.cpp discipline:
 // counting and encoding cannot drift apart because they are the same code.
@@ -35,10 +36,8 @@ void write_tree_image(W& w, const TreeImage& img) {
   w.put_bit(c.wave);
   w.put_bit(c.exhausted);
   w.put_gamma(c.packages.moves);
-  w.put_gamma(c.packages.next_id);
   w.put_gamma(c.packages.alive.size());
   for (const core::PackageTable::Record& rec : c.packages.alive) {
-    w.put_gamma(rec.id);
     w.put_bits(static_cast<std::uint64_t>(rec.kind), 2);
     w.put_gamma(rec.host);
     w.put_gamma(rec.size);
@@ -120,14 +119,16 @@ void decode_tree_image(TreeImage& out, const sim::Encoded& enc) {
     c.wave = r.get_bit();
     c.exhausted = r.get_bit();
     c.packages.moves = r.get_gamma();
-    c.packages.next_id = r.get_gamma();
     const std::uint64_t alive = r.get_gamma();
     c.packages.alive.clear();
     c.packages.alive.reserve(alive);
     for (std::uint64_t i = 0; i < alive; ++i) {
       core::PackageTable::Record rec;
-      rec.id = r.get_gamma();
-      rec.kind = static_cast<core::PackageKind>(r.get_bits(2));
+      const std::uint64_t kind = r.get_bits(2);
+      DYNCON_REQUIRE(kind <= static_cast<std::uint64_t>(
+                                 core::PackageKind::kReject),
+                     "corrupt package kind");
+      rec.kind = static_cast<core::PackageKind>(kind);
       rec.host = r.get_gamma();
       rec.size = r.get_gamma();
       rec.level = static_cast<std::uint32_t>(r.get_gamma());

@@ -10,7 +10,9 @@
 // the seeded build (identical RNG draws), replays the grown/dead id space
 // so node ids keep lining up with the never-hibernated run, restores the
 // tree RNG's raw state, and rebuilds the controller from its extracted
-// image.  Every counter those operations would normally fire was already
+// image.  That image lists only the alive packages, by host in whiteboard
+// order and without ids, so its size and the wake's work follow the
+// packages alive now, not the requests the tree ever served.  Every counter those operations would normally fire was already
 // counted in the original shard registry, so restore paths fire none, and
 // output stays byte-identical at any --resident-trees budget.
 //

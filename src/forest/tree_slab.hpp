@@ -14,6 +14,10 @@
 // allocates nothing, and rebuilding a tree allocates only where it
 // outgrows what the slot's tree held before (bench/micro_structures
 // BM_TreeSlabAcquireReleaseAllocs and BM_TreeRebuildAllocs gate this).
+// The controller is not kept: release destroys it, and the next tree in
+// the slot builds a fresh one.  A resident controller's package storage
+// follows its alive packages (core/package.hpp), so a long-lived tree's
+// slot does not grow with the requests it serves.
 
 #include <array>
 #include <cstdint>

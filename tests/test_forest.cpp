@@ -13,6 +13,7 @@
 
 #include "forest/forest.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "workload/request_mux.hpp"
 
 namespace dyncon::forest {
@@ -515,6 +516,150 @@ TEST(HibernateRoundTrip, EchoImageHasNoController) {
   EXPECT_FALSE(img.has_ctrl);
   const TreeImage dec = decode_tree_image(encode_tree_image(img));
   EXPECT_EQ(img, dec);
+}
+
+TEST(HibernateRoundTrip, VersionOneImageIsRejected) {
+  // Version 1 carried package ids and the table's next_id; its bodies
+  // cannot be read as version 2, so the tag alone refuses them.
+  tree::DynamicTree t;
+  Rng build(7);
+  build_initial_topology(t, build, 8);
+  Rng rng(8);
+  TreeImage img;
+  capture_tree_image(img, t, nullptr, rng, {}, 0);
+  sim::Encoded enc = encode_tree_image(img);
+  enc.bytes[0] = static_cast<std::uint8_t>((enc.bytes[0] & 0x0f) | (1 << 4));
+  EXPECT_THROW((void)decode_tree_image(enc), ContractError);
+}
+
+// ---- package storage bounded by live packages -------------------------------
+
+/// Serve `steps` requests with the forest's default op mix, the way the
+/// engine's serve() does: grows past the grow cap and shrinks with nothing
+/// grown are refused without touching the controller, so node ids stay
+/// below the controller's U.
+void serve_forest_mix(core::CentralizedController& ctrl, Rng& rng,
+                      std::vector<NodeId>& grown, std::uint64_t& grows,
+                      const ForestConfig& cfg, int steps) {
+  const workload::MuxConfig mix;
+  const std::uint64_t cap = resolved_grow_cap(cfg);
+  const auto site = [&] {
+    return static_cast<NodeId>(
+        rng.index(static_cast<std::size_t>(cfg.tree_size)));
+  };
+  for (int i = 0; i < steps; ++i) {
+    const double x = rng.uniform01();
+    if (x < mix.grow_fraction) {
+      if (grows >= cap) continue;
+      const core::Result res = ctrl.request_add_leaf(site());
+      if (res.granted()) {
+        grown.push_back(res.new_node);
+        ++grows;
+      }
+    } else if (x < mix.grow_fraction + mix.shrink_fraction) {
+      if (grown.empty()) continue;
+      if (ctrl.request_remove(grown.back()).granted()) grown.pop_back();
+    } else {
+      (void)ctrl.request_event(site());
+    }
+  }
+}
+
+core::CentralizedController::Options forest_options() {
+  core::CentralizedController::Options opts;
+  opts.track_domains = false;
+  return opts;
+}
+
+TEST(PackageStorage, ControllerBytesFollowLivePackagesNotHistory) {
+  // Claim 4.8 has no term for requests already served: a controller's
+  // storage after 10^5 requests stays within a constant of its storage
+  // after 10^3.
+  constexpr std::uint64_t kSlackBytes = 1024;
+  ForestConfig cfg;
+  cfg.tree_size = 48;
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    tree::DynamicTree t;
+    Rng build(seed);
+    build_initial_topology(t, build, cfg.tree_size);
+    core::CentralizedController ctrl(t, tree_params(cfg), forest_options());
+    Rng rng(seed ^ 0x5707ULL);
+    std::vector<NodeId> grown;
+    std::uint64_t grows = 0;
+    serve_forest_mix(ctrl, rng, grown, grows, cfg, 1000);
+    const std::uint64_t early = ctrl.approx_bytes();
+    serve_forest_mix(ctrl, rng, grown, grows, cfg, 99000);
+    EXPECT_LE(ctrl.approx_bytes(), early + kSlackBytes) << "seed " << seed;
+    EXPECT_FALSE(ctrl.exhausted());
+  }
+}
+
+TEST(PackageStorage, RestoredImageHoldsOnlyAlivePackages) {
+  // At forest::tree_params a 48-node tree holds no package between
+  // requests.  The second cell, a 1024-node tree with psi scaled by 1/16
+  // (exp11's ablation knob) and 20000 permits, ends past its reject wave
+  // with mobile packages left on some hosts: over a thousand alive
+  // packages of mixed kinds, sharing hosts.
+  struct Cell {
+    std::uint64_t tree_size;
+    std::uint64_t psi_den;
+    std::uint64_t permits;
+  };
+  for (const Cell cell : {Cell{48, 1, 0}, Cell{1024, 16, 20000}}) {
+    ForestConfig cfg;
+    cfg.tree_size = cell.tree_size;
+    cfg.permits_per_tree = cell.permits;
+    const core::Params params =
+        tree_params(cfg).with_psi_scale(1, cell.psi_den);
+    tree::DynamicTree t1;
+    Rng build1(5);
+    build_initial_topology(t1, build1, cfg.tree_size);
+    core::CentralizedController c1(t1, params, forest_options());
+    Rng rng1(6);
+    std::vector<NodeId> grown1;
+    std::uint64_t grows1 = 0;
+    serve_forest_mix(c1, rng1, grown1, grows1, cfg, 100000);
+
+    TreeImage img;
+    capture_tree_image(img, t1, &c1, rng1, grown1, grows1);
+    const TreeImage dec = decode_tree_image(encode_tree_image(img));
+    ASSERT_EQ(img, dec);
+    const std::vector<core::PackageTable::Record>& alive =
+        dec.ctrl.packages.alive;
+    if (cell.permits != 0) {
+      EXPECT_GT(alive.size(), cell.tree_size);
+    }
+
+    tree::DynamicTree t2;
+    Rng build2(5);
+    build_initial_topology(t2, build2, cfg.tree_size);
+    replay_grown_nodes(t2, dec);
+    core::CentralizedController c2(t2, params, forest_options());
+    c2.restore_image(dec.ctrl);
+
+    // One slot per alive package, and the same bytes as a table that
+    // holds those packages with no history behind it.
+    EXPECT_EQ(c2.packages().slot_count(), alive.size());
+    core::PackageTable bare;
+    bare.restore_image(core::PackageTable::Image{0, alive});
+    EXPECT_EQ(c2.approx_bytes(), bare.approx_bytes());
+    EXPECT_LE(c2.approx_bytes(), c1.approx_bytes());
+
+    // The restored controller carries on exactly as the original.
+    Rng rng2(1);
+    rng2.set_state(dec.rng_state);
+    std::vector<NodeId> grown2;
+    for (const auto& [id, parent] : dec.grown) grown2.push_back(id);
+    std::uint64_t grows2 = dec.grows;
+    serve_forest_mix(c1, rng1, grown1, grows1, cfg, 2000);
+    serve_forest_mix(c2, rng2, grown2, grows2, cfg, 2000);
+    TreeImage after1;
+    TreeImage after2;
+    capture_tree_image(after1, t1, &c1, rng1, grown1, grows1);
+    capture_tree_image(after2, t2, &c2, rng2, grown2, grows2);
+    EXPECT_EQ(after1, after2) << "psi " << params.psi();
+    EXPECT_EQ(c1.cost(), c2.cost());
+  }
 }
 
 }  // namespace
