@@ -17,7 +17,11 @@
 //                 gated in one place, tools/check_bench.py
 //                 --forest-speedup-min; the binary reports any speedup and
 //                 always runs every later phase, so a slow run's report
-//                 stays complete.
+//                 stays complete.  Where the time went is published beside
+//                 it: perf.forest.serial_share.sN (engine time outside the
+//                 shard fork, over all window time — the Amdahl serial
+//                 fraction) and perf.forest.shard_idle_share.sN (forked
+//                 time shards spent waiting on the slowest one).
 //   allocation    the steady-state shard loop allocates ~0 per event: the
 //                 echo-service phase (engine machinery only, shards=1 so
 //                 the loop runs inline with no pool, --eager so one-time
@@ -223,23 +227,40 @@ int main(int argc, char** argv) {
   }
 
   bench::Table table({"shards", "requests", "granted", "windows", "events",
-                      "cross_shard", "builds", "reqs/sec", "speedup"});
+                      "cross_shard", "builds", "reqs/sec", "speedup",
+                      "serial", "idle"});
   const double base_rate =
       static_cast<double>(points[0].stats.requests) / points[0].secs;
   for (const SweepPoint& pt : points) {
     const double rate = static_cast<double>(pt.stats.requests) / pt.secs;
     const double speedup = rate / base_rate;
+    const double window_ns =
+        static_cast<double>(pt.stats.serial_ns + pt.stats.parallel_ns);
+    const double serial_share =
+        window_ns > 0 ? static_cast<double>(pt.stats.serial_ns) / window_ns
+                      : 0;
+    const double forked_ns = static_cast<double>(pt.shards) *
+                             static_cast<double>(pt.stats.parallel_ns);
+    const double idle_share =
+        forked_ns > 0
+            ? 1.0 - static_cast<double>(pt.stats.shard_busy_ns) / forked_ns
+            : 0;
     table.row({bench::num(pt.shards), bench::num(pt.stats.requests),
                bench::num(pt.stats.granted), bench::num(pt.stats.windows),
                bench::num(pt.stats.events), bench::num(pt.stats.cross_shard),
                bench::num(pt.stats.tree_builds),
-               bench::fp(rate / 1e3, 1) + "k", bench::fp(speedup) + "x"});
+               bench::fp(rate / 1e3, 1) + "k", bench::fp(speedup) + "x",
+               bench::fp(serial_share), bench::fp(idle_share)});
     const std::string suffix = ".s" + std::to_string(pt.shards);
     run.registry().set_gauge("perf.forest.requests_per_sec" + suffix, rate);
     run.registry().set_gauge(
         "perf.forest.events_per_sec" + suffix,
         static_cast<double>(pt.stats.events) / pt.secs);
     run.registry().set_gauge("perf.forest.speedup" + suffix, speedup);
+    run.registry().set_gauge("perf.forest.serial_share" + suffix,
+                             serial_share);
+    run.registry().set_gauge("perf.forest.shard_idle_share" + suffix,
+                             idle_share);
   }
   table.print();
   std::printf("\n  determinism: all %zu shard counts byte-identical  [ok]\n",

@@ -248,40 +248,61 @@ BENCHMARK(BM_TreeSlabAcquireReleaseAllocs);
 void BM_TreeRebuildAllocs(benchmark::State& state) {
   // The forest's wake path on a recycled slot: release -> acquire -> the
   // seeded 48-node build -> replay of an image whose id space holds grown
-  // leaves and dead ids.  The slot's tree keeps its node storage across
-  // reset_to_root() and ports are computed, not stored, so once the slot
-  // has held this tree the rebuild must not touch the allocator.
+  // leaves and dead ids -> restore of a controller image holding packages
+  // into the slot's kept controller -> one served request.  The slot's
+  // tree keeps its node storage across reset_to_root(), its controller
+  // keeps its package storage across reset(), and ports are computed, not
+  // stored, so once the slot has held this tree the rebuild must not touch
+  // the allocator.
   constexpr std::uint64_t kTreeSize = 48;
   constexpr std::uint64_t kBuildSeed = 0x5eed5eedULL;
+  forest::ForestConfig cfg;
+  cfg.tree_size = kTreeSize;
+  // psi / 16 over a chain of grown leaves: requests at depth leave mobile
+  // packages alive between requests.
+  const core::Params params = forest::tree_params(cfg).with_psi_scale(1, 16);
+  core::CentralizedController::Options opts;
+  opts.track_domains = false;
   forest::TreeImage img;
+  NodeId deepest = kTreeSize - 1;
   {
     tree::DynamicTree t;
     Rng build_rng(kBuildSeed);
     forest::build_initial_topology(t, build_rng, kTreeSize);
     std::vector<NodeId> grown;
     for (NodeId i = 0; i < 24; ++i) {
-      const NodeId u = t.add_leaf(i * 5 % kTreeSize);
+      const NodeId u = t.add_leaf(deepest);
       if (i % 3 == 2) {
         t.remove_leaf(u);  // a dead id the replay must burn
       } else {
         grown.push_back(u);
+        deepest = u;
       }
     }
-    forest::capture_tree_image(img, t, nullptr, build_rng, grown,
+    core::CentralizedController ctrl(t, params, opts);
+    for (const NodeId u : grown) (void)ctrl.request_event(u);
+    forest::capture_tree_image(img, t, &ctrl, build_rng, grown,
                                grown.size());
+  }
+  if (img.ctrl.packages.alive.empty()) {
+    std::fprintf(stderr, "FATAL: BM_TreeRebuildAllocs image holds no "
+                         "package; the controller restore is not gated\n");
+    std::abort();
   }
   forest::TreeSlab slab;
   std::uint32_t slot = slab.acquire();
   auto rebuild = [&] {
     slab.release(slot);
     slot = slab.acquire();
-    tree::DynamicTree& t = slab.at(slot).tree;
+    forest::LiveTree& lt = slab.at(slot);
     Rng build_rng(kBuildSeed);
-    forest::build_initial_topology(t, build_rng, kTreeSize);
-    forest::replay_grown_nodes(t, img);
-    return t.size();
+    forest::build_initial_topology(lt.tree, build_rng, kTreeSize);
+    forest::replay_grown_nodes(lt.tree, img);
+    if (!lt.ctrl.has_value()) lt.ctrl.emplace(lt.tree, params, opts);
+    lt.ctrl->restore_image(img.ctrl);
+    return lt.ctrl->request_event(deepest).granted() + lt.tree.size();
   };
-  for (int i = 0; i < 4; ++i) rebuild();  // warm up: size the kept nodes
+  for (int i = 0; i < 4; ++i) rebuild();  // warm up: size the kept storage
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   std::uint64_t ops = 0;
   std::uint64_t sink = 0;
@@ -294,8 +315,8 @@ void BM_TreeRebuildAllocs(benchmark::State& state) {
   const double per_op =
       ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
   state.counters["allocs_per_op"] = per_op;
-  check_steady_state_allocs("build_initial_topology/replay_grown_nodes",
-                            per_op);
+  check_steady_state_allocs(
+      "build_initial_topology/replay_grown_nodes/restore_image", per_op);
 }
 BENCHMARK(BM_TreeRebuildAllocs);
 

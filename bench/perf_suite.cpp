@@ -326,16 +326,21 @@ PhaseResult phase_sendloop(std::uint64_t sends) {
 // worker counts.  Each run owns its queue/network/tree — shared-nothing —
 // so events/sec should scale with workers up to the core count.  The
 // per-run event totals are summed and compared across batches: a mismatch
-// means scheduling leaked into the simulation and the binary aborts.
+// means scheduling leaked into the simulation and the binary aborts.  Each
+// run records into its own registry, since the pool's caller runs some of
+// the runs itself; the report carries one copy of their counters, the
+// jobs=1 batch's, whatever the batch list.
 
 PhaseResult phase_parallel(unsigned jobs, std::uint64_t runs,
                            std::uint64_t n, std::uint64_t steps) {
   std::vector<std::uint64_t> events(runs, 0);
   std::vector<std::uint64_t> sends(runs, 0);
+  std::vector<obs::Registry> regs(runs);
   const auto t0 = Clock::now();
   util::parallel_for_runs(
       runs, jobs, /*base_seed=*/97,
       [&](std::uint64_t idx, Rng rng) {
+        obs::ScopedMetrics scope(regs[idx]);
         sim::EventQueue queue;
         sim::Network net(queue,
                          sim::make_delay(sim::DelayKind::kFixed, 1));
@@ -377,6 +382,9 @@ PhaseResult phase_parallel(unsigned jobs, std::uint64_t runs,
   for (std::uint64_t i = 0; i < runs; ++i) {
     r.events += events[i];
     r.sends += sends[i];
+  }
+  if (obs::Registry* main = obs::metrics(); main != nullptr && jobs == 1) {
+    for (const obs::Registry& reg : regs) main->merge(reg);
   }
   return r;
 }

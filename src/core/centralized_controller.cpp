@@ -102,6 +102,19 @@ void CentralizedController::restore_image(const Image& img) {
   packages_.restore_image(img.packages);
 }
 
+void CentralizedController::reset() {
+  DYNCON_REQUIRE(domains_ == nullptr,
+                 "reset: domain-tracking controllers not supported");
+  packages_.clear();
+  storage_ = params_.M();
+  storage_serials_ = options_.serials;
+  granted_ = 0;
+  rejects_ = 0;
+  wave_ = false;
+  exhausted_ = false;
+  path_.clear();
+}
+
 Result CentralizedController::handle(NodeId u, const EventSpec& ev) {
   obs::SpanSink* sink = obs::spans();
   if (sink == nullptr) return handle_impl(u, ev);  // the one-branch path

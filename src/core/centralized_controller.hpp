@@ -122,11 +122,18 @@ class CentralizedController final : public IController {
   /// Capture the controller's state into `out` (cleared first).
   void extract_image(Image& out) const;
 
-  /// Restore onto a freshly constructed controller with identical Params /
-  /// Options over an identically rebuilt tree.  No counters re-fire
-  /// (`permits.granted`, `wave.count`, `moves.total`, ... already counted
-  /// in their original shard registry before hibernation).
+  /// Restore onto a freshly constructed (or reset) controller with
+  /// identical Params / Options over an identically rebuilt tree.  No
+  /// counters re-fire (`permits.granted`, `wave.count`, `moves.total`, ...
+  /// already counted in their original shard registry before hibernation).
   void restore_image(const Image& img);
+
+  /// Return to the freshly constructed state over the same tree object,
+  /// which the caller has rebuilt: M permits at the root, no package, no
+  /// cost.  Package storage and the path buffer keep their capacity, so a
+  /// forest slot recycles its controller without allocating.  Like the
+  /// images, refused for domain-tracking controllers.
+  void reset();
 
   /// Rough heap footprint in bytes: the package table plus the path
   /// buffer.

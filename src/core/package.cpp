@@ -164,6 +164,15 @@ void PackageTable::cancel(PackageId p) {
   --alive_;
 }
 
+void PackageTable::clear() {
+  slots_.clear();
+  head_.clear();
+  tail_.clear();
+  alive_ = 0;
+  free_head_ = kNil;
+  moves_ = 0;
+}
+
 bool PackageTable::alive(PackageId p) const {
   const std::uint64_t s = p & kSlotMask;
   return s < slots_.size() && slots_[s].pkg.alive && slots_[s].pkg.id == p;

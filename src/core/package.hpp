@@ -163,6 +163,12 @@ class PackageTable {
   /// generation, so `p` stays dead.
   void cancel(PackageId p);
 
+  /// Return to the default-constructed state — no package, no moves — but
+  /// keep the capacity of the slot vector and the host columns, so a
+  /// recycled table refills without allocating.  Ids restart as in a fresh
+  /// table: any id handed out before the clear must be forgotten.
+  void clear();
+
   // ---- queries ----------------------------------------------------------------
 
   [[nodiscard]] bool alive(PackageId p) const;
@@ -212,10 +218,10 @@ class PackageTable {
   /// every forest controller; the distributed layers never hibernate.
   void extract_image(Image& out) const;
 
-  /// Rebuild a *default-constructed* table from an image by re-creating
-  /// its packages in image order: O(alive) work, one slot each.  Replays
-  /// no creation/move paths, so `package.created` / `package.splits` /
-  /// `moves.total` counters do not re-fire.
+  /// Rebuild a default-constructed (or cleared) table from an image by
+  /// re-creating its packages in image order: O(alive) work, one slot
+  /// each.  Replays no creation/move paths, so `package.created` /
+  /// `package.splits` / `moves.total` counters do not re-fire.
   void restore_image(const Image& img);
 
   /// Heap footprint in bytes (slots plus the two host columns), from

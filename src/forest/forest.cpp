@@ -1,6 +1,8 @@
 #include "forest/forest.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <utility>
 
 #include "sim/wire.hpp"
@@ -19,6 +21,14 @@ constexpr std::uint64_t kShardSalt = 0x73686472646e6773ULL;  // "shdrdngs"
 bool ready_order(const workload::MuxRequest& a,
                  const workload::MuxRequest& b) {
   return a.ready != b.ready ? a.ready < b.ready : a.user < b.user;
+}
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count());
 }
 
 }  // namespace
@@ -124,6 +134,7 @@ void ForestEngine::stage_inbox(Shard& sh) {
 }
 
 bool ForestEngine::step_window() {
+  const Clock::time_point t_begin = Clock::now();
   // Earliest pending work across the forest decides the next window.  The
   // minimum is over the union of all shard queues AND their unstaged
   // inboxes, so the window sequence is identical at any shard count
@@ -148,6 +159,7 @@ bool ForestEngine::step_window() {
   clock_ = window_end_;
   ++stats_.windows;
 
+  const Clock::time_point t_fork = Clock::now();
   if (pool_ != nullptr) {
     ++stats_.barriers;
     pool_->for_each(shards_.size(),
@@ -155,6 +167,7 @@ bool ForestEngine::step_window() {
   } else {
     run_window_on_shard(0);
   }
+  const Clock::time_point t_join = Clock::now();
   exchange();
   // Flight-recorder sampling rides the window edge: every event before
   // window_end_ has fired on every shard regardless of the shard count, so
@@ -164,11 +177,15 @@ bool ForestEngine::step_window() {
     for (const auto& shp : shards_) flight_->accumulate(shp->registry);
     flight_->commit_row();
   }
+  stats_.parallel_ns += elapsed_ns(t_fork, t_join);
+  stats_.serial_ns +=
+      elapsed_ns(t_begin, t_fork) + elapsed_ns(t_join, Clock::now());
   return true;
 }
 
 void ForestEngine::run_window_on_shard(std::uint64_t s) {
   Shard& sh = *shards_[s];
+  const Clock::time_point start = Clock::now();
   // Thread-confined metrics: whatever worker runs this window writes into
   // THIS shard's registry; handles re-resolve on the registry switch.
   obs::ScopedMetrics scope(sh.registry);
@@ -177,18 +194,14 @@ void ForestEngine::run_window_on_shard(std::uint64_t s) {
   // beyond the barriers themselves.  Residency enforcement runs at the
   // window's trailing edge, off the per-event path: the coldest trees
   // beyond the budget hibernate before the barrier.
-  if (sh.spans != nullptr) {
-    // Spans follow the registry's thread-confinement: this window's worker
-    // emits into THIS shard's sink; run() merges in shard order.
-    obs::ScopedSpans span_scope(*sh.spans);
-    stage_inbox(sh);
-    sh.queue.run_until(window_end_);
-    enforce_residency(sh);
-    return;
-  }
+  // Spans follow the registry's thread-confinement: this window's worker
+  // emits into THIS shard's sink; run() merges in shard order.
+  std::optional<obs::ScopedSpans> span_scope;
+  if (sh.spans != nullptr) span_scope.emplace(*sh.spans);
   stage_inbox(sh);
   sh.queue.run_until(window_end_);
   enforce_residency(sh);
+  sh.busy_ns += elapsed_ns(start, Clock::now());
 }
 
 void ForestEngine::exchange() {
@@ -233,6 +246,15 @@ LiveTree& ForestEngine::touch(std::uint32_t tree, Shard& sh) {
   return lt;
 }
 
+void ForestEngine::ensure_controller(LiveTree& lt) const {
+  // A recycled slot keeps its earlier tenant's controller, reset by
+  // TreeSlab::release: same engine, so the same Params and Options.
+  if (lt.ctrl.has_value()) return;
+  core::CentralizedController::Options opts;
+  opts.track_domains = false;
+  lt.ctrl.emplace(lt.tree, params_, opts);
+}
+
 void ForestEngine::materialize(std::uint32_t tree, Shard& sh) {
   const std::uint32_t slot = sh.slab.acquire();
   LiveTree& lt = sh.slab.at(slot);
@@ -241,11 +263,7 @@ void ForestEngine::materialize(std::uint32_t tree, Shard& sh) {
   // The build draws come first off the tree's chain; serve-time draws
   // continue the same stream, exactly as the eager engine consumed it.
   build_initial_topology(lt.tree, lt.rng, cfg_.tree_size);
-  if (cfg_.service == Service::kController) {
-    core::CentralizedController::Options opts;
-    opts.track_domains = false;
-    lt.ctrl.emplace(lt.tree, params_, opts);
-  }
+  if (cfg_.service == Service::kController) ensure_controller(lt);
   tree_slot_[tree] = slot;
   tree_status_[tree] = static_cast<std::uint8_t>(TreeStatus::kLive);
   ++sh.tree_builds;
@@ -273,9 +291,7 @@ void ForestEngine::wake(std::uint32_t tree, Shard& sh) {
   if (img.has_ctrl) {
     DYNCON_INVARIANT(cfg_.service == Service::kController,
                      "controller image for an echo-mode tree");
-    core::CentralizedController::Options opts;
-    opts.track_domains = false;
-    lt.ctrl.emplace(lt.tree, params_, opts);
+    ensure_controller(lt);
     lt.ctrl->restore_image(img.ctrl);
   }
 
@@ -336,8 +352,15 @@ void ForestEngine::enforce_residency(Shard& sh) {
   sh.slab.for_each_occupied([&](const LiveTree& lt) {
     sh.evict_scratch.emplace_back(lt.last_touch, lt.tree_id);
   });
-  std::sort(sh.evict_scratch.begin(), sh.evict_scratch.end());
+  // Only the `excess` coldest need an order: select them, then sort that
+  // prefix.  Keys are unique (tree ids), so the prefix — and the order the
+  // trees hibernate in, which decides frozen-slot and slab-slot reuse — is
+  // exactly a full sort's.
   const std::size_t excess = sh.slab.occupied() - budget;
+  const auto cut = sh.evict_scratch.begin() +
+                   static_cast<std::ptrdiff_t>(excess);
+  std::nth_element(sh.evict_scratch.begin(), cut, sh.evict_scratch.end());
+  std::sort(sh.evict_scratch.begin(), cut);
   for (std::size_t i = 0; i < excess; ++i) {
     hibernate(sh.evict_scratch[i].second, sh);
   }
@@ -489,6 +512,7 @@ ForestStats ForestEngine::run() {
     stats_.hibernations += shp->hibernations;
     stats_.wakes += shp->wakes;
     stats_.hibernate_bits += shp->hibernate_bits;
+    stats_.shard_busy_ns += shp->busy_ns;
   }
 
   // Deterministic reduction: shard registries fold into the caller's

@@ -16,7 +16,8 @@
 //     split chains, which is what makes results shard-count invariant.
 //
 //   * A virtual-time barrier scheduler: shards advance concurrently
-//     (util::ThreadPool::for_each, one reusable pool) but only in bounded
+//     (util::ThreadPool::for_each: a fork-join pool whose caller runs
+//     shard 0 and whose thread s always runs shard s) but only in bounded
 //     windows [t, t + window).  At each window edge the engine barriers,
 //     collects every shard's completions, sorts them by the shard-invariant
 //     key (completion time, user), asks the workload::RequestMux for each
@@ -52,8 +53,10 @@
 // measures this with the operator-new counter (using --eager so one-time
 // materialization stays out of the measured loop).  On the cold path,
 // rebuilding a tree (materialize, wake) allocates nothing once warm: it
-// reuses a recycled slab slot whose tree kept its node storage, and port
-// numbers are computed from the links rather than stored.
+// reuses a recycled slab slot whose tree kept its node storage and whose
+// controller kept its package storage, and port numbers are computed from
+// the links rather than stored.  Window wall time splits into the serial
+// part (min scan, exchange) and the forked part, reported in ForestStats.
 
 #include <cstdint>
 #include <memory>
@@ -146,6 +149,13 @@ struct ForestStats {
   std::uint64_t hibernations = 0;    ///< live -> frozen transitions
   std::uint64_t wakes = 0;           ///< frozen -> live rematerializations
   std::uint64_t hibernate_bits = 0;  ///< total snapshot bits encoded
+  // Where the wall-clock time of the windows went (never in the registry;
+  // differs run to run).  serial / (serial + parallel) is the engine's
+  // serial fraction; 1 - shard_busy / (shards * parallel) is the share of
+  // the forked time shards spent idle, waiting on the slowest one.
+  std::uint64_t serial_ns = 0;      ///< step_window outside the shard fork
+  std::uint64_t parallel_ns = 0;    ///< fork to join, summed over windows
+  std::uint64_t shard_busy_ns = 0;  ///< shards' window work, summed (run())
 };
 
 /// Memory accounting snapshot (perf.mem.* feedstock).  Byte figures are
@@ -230,6 +240,7 @@ class ForestEngine {
     std::uint64_t hibernations = 0;
     std::uint64_t wakes = 0;
     std::uint64_t hibernate_bits = 0;
+    std::uint64_t busy_ns = 0;
   };
 
   enum class TreeStatus : std::uint8_t { kVirgin, kLive, kFrozen };
@@ -246,6 +257,8 @@ class ForestEngine {
   /// Ensure `tree` is live in its shard's slab and stamp its LRU touch
   /// time; materializes virgin trees and wakes hibernated ones.
   LiveTree& touch(std::uint32_t tree, Shard& sh);
+  /// Give a slot's tree a fresh controller, reusing the slot's kept one.
+  void ensure_controller(LiveTree& lt) const;
   void materialize(std::uint32_t tree, Shard& sh);
   void wake(std::uint32_t tree, Shard& sh);
   void hibernate(std::uint32_t tree, Shard& sh);

@@ -14,10 +14,12 @@
 // allocates nothing, and rebuilding a tree allocates only where it
 // outgrows what the slot's tree held before (bench/micro_structures
 // BM_TreeSlabAcquireReleaseAllocs and BM_TreeRebuildAllocs gate this).
-// The controller is not kept: release destroys it, and the next tree in
-// the slot builds a fresh one.  A resident controller's package storage
-// follows its alive packages (core/package.hpp), so a long-lived tree's
-// slot does not grow with the requests it serves.
+// The controller is kept the same way: release resets it in place
+// (CentralizedController::reset keeps its package slots and host
+// columns), and the slot's next tree restores into it or starts from it.
+// A resident controller's package storage follows its alive packages
+// (core/package.hpp), so a long-lived tree's slot does not grow with the
+// requests it serves.
 
 #include <array>
 #include <cstdint>
@@ -52,7 +54,8 @@ class TreeSlab {
   static constexpr std::size_t kChunk = 32;
 
   /// Claim a slot (recycled if available, else a new chunk's).  The slot is
-  /// in the freshly-constructed state: single-root tree, no controller.
+  /// in the freshly-constructed state: a single-root tree, and the reset
+  /// controller of an earlier tenant if the slot ever had one.
   std::uint32_t acquire() {
     if (free_.empty()) grow();
     const std::uint32_t slot = free_.back();
@@ -63,14 +66,15 @@ class TreeSlab {
   }
 
   /// Return a slot to the free list, resetting its contents in place.  The
-  /// tree's node storage and the grown vector keep their capacity —
-  /// that retained capacity is bounded by the residency budget times the
-  /// per-tree cap, and it is what makes the cycle allocation-free.
+  /// tree's node storage, the controller's package storage and the grown
+  /// vector keep their capacity — that retained capacity is bounded by the
+  /// residency budget times the per-tree cap, and it is what makes the
+  /// cycle allocation-free.
   void release(std::uint32_t slot) {
     DYNCON_REQUIRE(slot < in_use_.size() && in_use_[slot] != 0,
                    "release of a slot not in use");
     LiveTree& lt = at(slot);
-    lt.ctrl.reset();
+    if (lt.ctrl.has_value()) lt.ctrl->reset();
     lt.tree.reset_to_root();
     lt.grown.clear();
     lt.grows = 0;
@@ -100,9 +104,8 @@ class TreeSlab {
     }
   }
 
-  /// Rough heap footprint in bytes.  Counts every slot's retained tree
-  /// capacity (free slots keep theirs by design) plus occupied slots'
-  /// controller and grown storage.
+  /// Rough heap footprint in bytes.  Counts every slot's retained tree,
+  /// controller and grown capacity (free slots keep theirs by design).
   [[nodiscard]] std::uint64_t approx_bytes() const {
     std::uint64_t bytes = capacity() * sizeof(LiveTree) +
                           in_use_.capacity() +

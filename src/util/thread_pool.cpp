@@ -1,47 +1,69 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <map>
-#include <utility>
+#include <chrono>
 
 namespace dyncon::util {
 
-ThreadPool::ThreadPool(unsigned workers, std::size_t queue_capacity)
-    : capacity_(std::max<std::size_t>(queue_capacity, 1)) {
-  const unsigned count = std::max(1u, workers);
-  threads_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+namespace {
+
+/// How long a waiter spins before it blocks.  Longer than a forest
+/// window's serial exchange (tens of µs), so shard workers stay awake from
+/// one window to the next; short enough that an idle pool costs nothing
+/// measurable.
+constexpr auto kSpinBudget = std::chrono::microseconds(250);
+constexpr int kPausesPerBurst = 64;
+
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Wait until `a` no longer holds `old` and return what it holds: `pause`
+/// bursts with a yield between them, then std::atomic::wait once the spin
+/// budget is spent.  The yield lets a descheduled participant sharing this
+/// hardware thread run, which a pure `pause` spin would starve.
+template <typename T>
+T await_change(const std::atomic<T>& a, T old) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (;;) {
+    for (int i = 0; i < kPausesPerBurst; ++i) {
+      const T v = a.load(std::memory_order_acquire);
+      if (v != old) return v;
+      cpu_pause();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::yield();
+  }
+  for (;;) {
+    a.wait(old, std::memory_order_acquire);
+    const T v = a.load(std::memory_order_acquire);
+    if (v != old) return v;
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock lock(mu_);
-    stop_ = true;
+}  // namespace
+
+ThreadPool::ThreadPool(unsigned jobs) : lanes_(std::max(1u, jobs)) {
+  threads_.reserve(lanes_.size() - 1);
+  try {
+    for (unsigned p = 1; p < lanes_.size(); ++p) {
+      threads_.emplace_back([this, p] { worker_loop(p); });
+    }
+  } catch (...) {
+    shutdown();  // join the threads already started before unwinding
+    throw;
   }
-  not_empty_.notify_all();
+}
+
+ThreadPool::~ThreadPool() { shutdown(); }
+
+void ThreadPool::shutdown() {
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock, [this] { return queue_.size() < capacity_; });
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  not_empty_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 unsigned ThreadPool::hardware_jobs() {
@@ -49,91 +71,84 @@ unsigned ThreadPool::hardware_jobs() {
   return hw == 0 ? 1 : hw;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(unsigned p) {
+  std::uint32_t seen = 0;  // epoch_'s initial value
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      not_empty_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    not_full_.notify_one();
-    try {
-      task();
-    } catch (...) {
-      std::unique_lock lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::unique_lock lock(mu_);
-      if (--in_flight_ == 0) idle_.notify_all();
+    seen = await_change(epoch_, seen);
+    if (stop_) return;
+    run_share(p);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
     }
   }
 }
 
-namespace {
-
-/// Per-index error collection shared by the inline and pooled paths: run
-/// every index, record failures keyed by index, rethrow the lowest.
-struct IndexErrors {
-  std::mutex mu;
-  std::map<std::uint64_t, std::exception_ptr> errors;
-
-  void record(std::uint64_t i) {
-    std::scoped_lock lock(mu);
-    errors.emplace(i, std::current_exception());
+void ThreadPool::run_share(unsigned p) {
+  Lane& lane = lanes_[p];
+  auto run = [&](std::uint64_t i) {
+    try {
+      (*fn_)(i);
+    } catch (...) {
+      // A participant's indices increase, so its first failure is its
+      // lowest.
+      if (!lane.error) {
+        lane.error_index = i;
+        lane.error = std::current_exception();
+      }
+    }
+  };
+  if (p < n_) run(p);
+  if (n_ <= lanes_.size()) return;  // every index was someone's first
+  for (std::uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+       i < n_; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    run(i);
   }
-  void rethrow_lowest() {
-    if (!errors.empty()) std::rethrow_exception(errors.begin()->second);
-  }
-};
-
-}  // namespace
+}
 
 void ThreadPool::for_each(std::uint64_t n,
                           const std::function<void(std::uint64_t)>& fn) {
   if (n == 0) return;
-  if (n == 1) {  // nothing to fan out; same semantics without a hop
-    fn(0);
-    return;
+  fn_ = &fn;
+  n_ = n;
+  // One index, or no threads: the caller runs every index, in order.
+  const bool fan_out = n > 1 && !threads_.empty();
+  next_.store(fan_out ? lanes_.size() : 1, std::memory_order_relaxed);
+  if (fan_out) {
+    pending_.store(static_cast<std::uint32_t>(threads_.size()),
+                   std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);  // publishes the above
+    epoch_.notify_all();
   }
-  IndexErrors errs;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    submit([&fn, &errs, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        errs.record(i);
-      }
-    });
+  run_share(0);
+  if (fan_out) {
+    for (std::uint32_t left = pending_.load(std::memory_order_acquire);
+         left != 0;) {
+      left = await_change(pending_, left);
+    }
   }
-  wait_idle();  // tasks never leak exceptions, so this only synchronizes
-  errs.rethrow_lowest();
+  fn_ = nullptr;
+  // Lowest failing index across participants, whoever ran it.
+  Lane* lowest = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.error && (lowest == nullptr ||
+                       lane.error_index < lowest->error_index)) {
+      lowest = &lane;
+    }
+  }
+  std::exception_ptr err = lowest != nullptr ? lowest->error : nullptr;
+  for (Lane& lane : lanes_) lane.error = nullptr;
+  if (err) std::rethrow_exception(err);
 }
 
 void for_each_index(std::uint64_t n, unsigned jobs,
                     const std::function<void(std::uint64_t)>& fn) {
   if (n == 0) return;
   // Exceptions are recorded per index and the lowest-index one rethrown, so
-  // the reported failure is the same whatever the worker count.
-  if (jobs <= 1 || n == 1) {
-    IndexErrors errs;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        errs.record(i);
-      }
-    }
-    errs.rethrow_lowest();
-  } else {
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::uint64_t>(jobs, n));
-    ThreadPool pool(workers);
-    pool.for_each(n, fn);
-  }
+  // the reported failure is the same whatever the participant count; with
+  // one participant the pool starts no thread and runs inline, in order.
+  ThreadPool pool(static_cast<unsigned>(
+      std::min<std::uint64_t>(std::max(jobs, 1u), n)));
+  pool.for_each(n, fn);
 }
 
 std::vector<Rng> derive_run_rngs(std::uint64_t base_seed, std::uint64_t n) {

@@ -357,6 +357,41 @@ TEST(ForestMemory, TightBudgetUnderManyShards) {
   EXPECT_GT(r.stats.wakes, 0u);
 }
 
+TEST(ForestMemory, EvictionPolicyIsPinned) {
+  // At each window edge the coldest (last_touch, tree_id) residents beyond
+  // the budget hibernate, coldest first.  These counts pin that policy:
+  // an eviction that picks a different tree set moves them.
+  struct Pin {
+    unsigned shards;
+    std::uint64_t hibernations;
+    std::uint64_t wakes;
+    std::uint64_t hibernate_bits;
+  };
+  for (const Pin pin : {Pin{1, 130, 120, 49234}, Pin{3, 74, 68, 27888}}) {
+    ForestConfig cfg = small_config(pin.shards);
+    cfg.resident_trees = 2;
+    const RunResult r = run_forest(cfg, 77);
+    EXPECT_EQ(r.stats.tree_builds, cfg.mux.trees) << "shards " << pin.shards;
+    EXPECT_EQ(r.stats.hibernations, pin.hibernations)
+        << "shards " << pin.shards;
+    EXPECT_EQ(r.stats.wakes, pin.wakes) << "shards " << pin.shards;
+    EXPECT_EQ(r.stats.hibernate_bits, pin.hibernate_bits)
+        << "shards " << pin.shards;
+  }
+}
+
+TEST(ForestMemory, WindowTimeSplitsIntoSerialAndForkedParts) {
+  // Wall-clock diagnostics: present, and the shards' busy time fits in
+  // the forked time they ran within.
+  for (unsigned shards : {1u, 3u}) {
+    const RunResult r = run_forest(small_config(shards), 77);
+    EXPECT_GT(r.stats.serial_ns, 0u);
+    EXPECT_GT(r.stats.parallel_ns, 0u);
+    EXPECT_GT(r.stats.shard_busy_ns, 0u);
+    EXPECT_LE(r.stats.shard_busy_ns, shards * r.stats.parallel_ns);
+  }
+}
+
 TEST(ForestMemory, MemStatsPartitionAndAccounting) {
   ForestConfig cfg = small_config(2);
   cfg.resident_trees = 2;
@@ -660,6 +695,173 @@ TEST(PackageStorage, RestoredImageHoldsOnlyAlivePackages) {
     EXPECT_EQ(after1, after2) << "psi " << params.psi();
     EXPECT_EQ(c1.cost(), c2.cost());
   }
+}
+
+// ---- controllers kept across slab recycling ---------------------------------
+
+/// Serve `steps` forest-mix requests on `a` and `b` in lockstep — two
+/// controllers over identically built trees — and require every
+/// observable to agree after each request.
+void serve_lockstep(core::CentralizedController& a,
+                    core::CentralizedController& b, Rng& rng,
+                    std::vector<NodeId>& grown, std::uint64_t& grows,
+                    const ForestConfig& cfg, int steps) {
+  const workload::MuxConfig mix;
+  const std::uint64_t cap = resolved_grow_cap(cfg);
+  core::CentralizedController::Image ia;
+  core::CentralizedController::Image ib;
+  for (int i = 0; i < steps; ++i) {
+    const double x = rng.uniform01();
+    const auto site = static_cast<NodeId>(
+        rng.index(static_cast<std::size_t>(cfg.tree_size)));
+    core::Result ra;
+    core::Result rb;
+    if (x < mix.grow_fraction) {
+      if (grows >= cap) continue;
+      ra = a.request_add_leaf(site);
+      rb = b.request_add_leaf(site);
+      if (ra.granted()) {
+        grown.push_back(ra.new_node);
+        ++grows;
+      }
+    } else if (x < mix.grow_fraction + mix.shrink_fraction) {
+      if (grown.empty()) continue;
+      ra = a.request_remove(grown.back());
+      rb = b.request_remove(grown.back());
+      if (ra.granted()) grown.pop_back();
+    } else {
+      ra = a.request_event(site);
+      rb = b.request_event(site);
+    }
+    ASSERT_EQ(ra.outcome, rb.outcome) << "request " << i;
+    ASSERT_EQ(ra.new_node, rb.new_node) << "request " << i;
+    ASSERT_EQ(a.cost(), b.cost()) << "request " << i;
+    ASSERT_EQ(a.root_storage(), b.root_storage()) << "request " << i;
+    ASSERT_EQ(a.permits_granted(), b.permits_granted()) << "request " << i;
+    a.extract_image(ia);
+    b.extract_image(ib);
+    ASSERT_EQ(ia, ib) << "request " << i;
+  }
+}
+
+/// The default forest parameters, and a cell (psi / 16, 2000 permits)
+/// that leaves mobile and reject packages alive between requests.
+struct ReuseCell {
+  std::uint64_t psi_den;
+  std::uint64_t permits;
+};
+constexpr ReuseCell kReuseCells[] = {{1, 0}, {16, 2000}};
+
+TEST(ControllerReuse, ResetControllerServesLikeAFreshOne) {
+  for (const ReuseCell cell : kReuseCells) {
+    ForestConfig cfg;
+    cfg.tree_size = 48;
+    cfg.permits_per_tree = cell.permits;
+    const core::Params params =
+        tree_params(cfg).with_psi_scale(1, cell.psi_den);
+    tree::DynamicTree kept_tree;
+    Rng build(11);
+    build_initial_topology(kept_tree, build, cfg.tree_size);
+    core::CentralizedController kept(kept_tree, params, forest_options());
+    for (std::uint64_t tenant = 1; tenant <= 2; ++tenant) {
+      if (tenant > 1) {
+        // What TreeSlab::release and the slot's next materialize do.
+        core::CentralizedController::Image before;
+        kept.extract_image(before);
+        if (cell.permits != 0) {
+          EXPECT_FALSE(before.packages.alive.empty())
+              << "the reset must clear live packages";
+        }
+        const std::uint64_t bytes = kept.approx_bytes();
+        kept.reset();
+        kept_tree.reset_to_root();
+        Rng rebuild(10 + tenant);
+        build_initial_topology(kept_tree, rebuild, cfg.tree_size);
+        EXPECT_GE(kept.approx_bytes(), bytes) << "reset keeps capacity";
+      }
+      tree::DynamicTree fresh_tree;
+      Rng fresh_build(10 + tenant);
+      build_initial_topology(fresh_tree, fresh_build, cfg.tree_size);
+      core::CentralizedController fresh(fresh_tree, params,
+                                        forest_options());
+      Rng rng(tenant);
+      std::vector<NodeId> grown;
+      std::uint64_t grows = 0;
+      ASSERT_NO_FATAL_FAILURE(
+          serve_lockstep(kept, fresh, rng, grown, grows, cfg, 3000))
+          << "psi_den " << cell.psi_den << " tenant " << tenant;
+    }
+  }
+}
+
+TEST(ControllerReuse, RestoreOntoResetEqualsRestoreOntoFresh) {
+  for (const ReuseCell cell : kReuseCells) {
+    ForestConfig cfg;
+    cfg.tree_size = 48;
+    cfg.permits_per_tree = cell.permits;
+    const core::Params params =
+        tree_params(cfg).with_psi_scale(1, cell.psi_den);
+    // The tree to hibernate.
+    tree::DynamicTree t1;
+    Rng build1(5);
+    build_initial_topology(t1, build1, cfg.tree_size);
+    core::CentralizedController c1(t1, params, forest_options());
+    Rng rng1(6);
+    std::vector<NodeId> grown1;
+    std::uint64_t grows1 = 0;
+    serve_forest_mix(c1, rng1, grown1, grows1, cfg, 3000);
+    TreeImage img;
+    capture_tree_image(img, t1, &c1, rng1, grown1, grows1);
+
+    // A slot whose controller served another tree and was reset, and a
+    // fresh controller; both wake the image.
+    tree::DynamicTree kept_tree;
+    Rng build_other(9);
+    build_initial_topology(kept_tree, build_other, cfg.tree_size);
+    core::CentralizedController kept(kept_tree, params, forest_options());
+    Rng rng_other(10);
+    std::vector<NodeId> grown_other;
+    std::uint64_t grows_other = 0;
+    serve_forest_mix(kept, rng_other, grown_other, grows_other, cfg, 3000);
+    kept.reset();
+    kept_tree.reset_to_root();
+    Rng rebuild(5);
+    build_initial_topology(kept_tree, rebuild, cfg.tree_size);
+    replay_grown_nodes(kept_tree, img);
+    kept.restore_image(img.ctrl);
+
+    tree::DynamicTree fresh_tree;
+    Rng fresh_build(5);
+    build_initial_topology(fresh_tree, fresh_build, cfg.tree_size);
+    replay_grown_nodes(fresh_tree, img);
+    core::CentralizedController fresh(fresh_tree, params, forest_options());
+    fresh.restore_image(img.ctrl);
+
+    core::CentralizedController::Image a;
+    core::CentralizedController::Image b;
+    kept.extract_image(a);
+    fresh.extract_image(b);
+    EXPECT_EQ(a, img.ctrl);
+    EXPECT_EQ(a, b);
+    Rng rng2(1);
+    rng2.set_state(img.rng_state);
+    std::vector<NodeId> grown2;
+    for (const auto& [id, parent] : img.grown) grown2.push_back(id);
+    std::uint64_t grows2 = img.grows;
+    ASSERT_NO_FATAL_FAILURE(
+        serve_lockstep(kept, fresh, rng2, grown2, grows2, cfg, 1000))
+        << "psi_den " << cell.psi_den;
+  }
+}
+
+TEST(ControllerReuse, ResetRefusesDomainTracking) {
+  tree::DynamicTree t;
+  Rng build(3);
+  build_initial_topology(t, build, 8);
+  ForestConfig cfg;
+  cfg.tree_size = 8;
+  core::CentralizedController ctrl(t, tree_params(cfg));
+  EXPECT_THROW(ctrl.reset(), ContractError);
 }
 
 }  // namespace

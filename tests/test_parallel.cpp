@@ -1,7 +1,9 @@
 // The deterministic parallel run engine (util/thread_pool.hpp) and the
 // observability guarantees parallel sweeps lean on:
 //
-//   * the pool runs every submitted task and propagates exceptions,
+//   * the fork-join pool runs every index once per round, keeps index p
+//     on participant p (index 0 on the caller), survives rounds longer
+//     than its spin budget, and propagates exceptions,
 //   * for_each_index reports the lowest-index failure regardless of
 //     scheduling,
 //   * seed derivation depends only on (base_seed, index) — never on the
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -30,37 +33,86 @@
 namespace dyncon::util {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> done{0};
+TEST(ThreadPool, OneJobStartsNoThreadAndRunsInOrder) {
+  ThreadPool pool(1);
+  std::vector<std::uint64_t> order;
+  std::vector<std::thread::id> ran_on;
+  pool.for_each(10, [&](std::uint64_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 10u);
+  for (std::uint64_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, IndexPRunsOnTheSameThreadEveryRound) {
+  // Participant p runs index p first, so with n <= jobs the forest's shard
+  // s stays on one thread, and shard 0 runs on the caller.
+  constexpr unsigned kJobs = 4;
+  ThreadPool pool(kJobs);
+  for (const std::uint64_t n : {std::uint64_t{3}, std::uint64_t{kJobs}}) {
+    std::vector<std::thread::id> first(n);
+    for (int round = 0; round < 100; ++round) {
+      std::vector<std::thread::id> ran_on(n);
+      pool.for_each(n, [&](std::uint64_t i) {
+        ran_on[i] = std::this_thread::get_id();
+      });
+      EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "round " << round;
+      if (round == 0) {
+        first = ran_on;
+        const std::set<std::thread::id> distinct(ran_on.begin(),
+                                                 ran_on.end());
+        EXPECT_EQ(distinct.size(), n) << "one participant per index";
+      }
+      ASSERT_EQ(ran_on, first) << "n " << n << " round " << round;
+    }
+  }
+}
+
+TEST(ThreadPool, EveryIndexOncePerRoundAtAnyWidth) {
+  // Fewer indices than participants, exactly as many, and many more
+  // (claimed from the shared counter), over many short rounds.
   ThreadPool pool(4);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+  for (const std::uint64_t n : {2u, 4u, 37u}) {
+    std::vector<int> hits(n, 0);
+    constexpr int kRounds = 1000;
+    for (int round = 0; round < kRounds; ++round) {
+      pool.for_each(n, [&](std::uint64_t i) { hits[i] += 1; });
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i], kRounds) << "n " << n << " index " << i;
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 200);
 }
 
-TEST(ThreadPool, BoundedQueueBackpressure) {
-  // Queue capacity far below the task count: submit must block-and-drain
-  // rather than drop or deadlock.
-  std::atomic<int> done{0};
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(ThreadPool, RoundsOutlastingTheSpinBudgetComplete) {
+  // Bodies that sleep far past the spin budget send the caller and idle
+  // workers into std::atomic::wait; the round and the next one finish.
+  ThreadPool pool(3);
+  for (int round = 0; round < 2; ++round) {
+    std::atomic<int> done{0};
+    pool.for_each(5, [&](std::uint64_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 0 ? 1 : 20));
+      done.fetch_add(1);
+    });
+    EXPECT_EQ(done.load(), 5) << "round " << round;
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
 }
 
-TEST(ThreadPool, WaitIdleRethrowsTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable after the rethrow.
-  std::atomic<int> done{0};
-  pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
+TEST(ThreadPool, DestroyedWhileWorkersBlockJoinsPromptly) {
+  // Past the spin budget idle workers block in std::atomic::wait; the
+  // destructor must wake and join them whether or not a round ever ran.
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ThreadPool unused(4);
+    ThreadPool used(4);
+    used.for_each(4, [](std::uint64_t) {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 TEST(ThreadPool, ForEachIsAReusableBarrier) {

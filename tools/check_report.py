@@ -16,7 +16,8 @@ counts summing to the total), the perf.parallel.* scaling family (speedup
 gauge consistent with the per-jobs throughputs), the forest.* /
 perf.forest.* family written by the sharded forest runtime and
 bench/exp19_forest_scaling (outcome and op-mix counters partitioning the
-request total, speedups consistent with the per-shard-count rates), and —
+request total, speedups consistent with the per-shard-count rates, serial
+and shard-idle shares within [0, 1]), and —
 when the exp17
 per-rate gauges are present — that the measured reliability overhead is
 monotone in the drop rate.  The causal-observability sections added with
@@ -219,7 +220,8 @@ def check_forest_family(path: str, counters: dict, gauges: dict) -> None:
     written by the sharded forest runtime / bench/exp19_forest_scaling:
     outcome and op-mix counters must partition the request total, the
     published speedups must equal the per-shard-count throughput ratios,
-    and the per-shard-count request rates must all be positive.  (The
+    the per-shard-count request rates must all be positive, and the
+    serial_share / shard_idle_share gauges must lie in [0, 1].  (The
     perf.forest.* rates are machine-local — check_bench.py excludes them
     from the cross-machine baseline diff and gates the speedup within a
     single report.)"""
@@ -264,6 +266,12 @@ def check_forest_family(path: str, counters: dict, gauges: dict) -> None:
         if abs(speedup - derived) > 1e-6 * max(1.0, derived):
             fail(f"{path}: perf.forest.speedup.s{k} = {speedup:.6f} but "
                  f"s{k}/s1 = {derived:.6f}")
+    # Window wall-time split: shares of a whole, so within [0, 1].
+    for name, value in sorted(gauges.items()):
+        if name.startswith(("perf.forest.serial_share.s",
+                            "perf.forest.shard_idle_share.s")):
+            if not 0.0 <= value <= 1.0:
+                fail(f"{path}: gauge '{name}' = {value:.6f} outside [0, 1]")
     if gauges.get("perf.forest.hw_threads", 0.0) < 1.0:
         fail(f"{path}: perf.forest.hw_threads below 1")
     print(f"check_report: forest family ok ({len(rates)} shard counts, "

@@ -40,6 +40,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -356,28 +357,22 @@ int main(int argc, char** argv) {
   std::mutex fail_mu;
   std::optional<std::string> first_failure;
   const unsigned workers = jobs;
-  {
-    util::ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        while (std::chrono::steady_clock::now() < deadline) {
-          {
-            std::scoped_lock lock(fail_mu);
-            if (first_failure) return;
-          }
-          const std::uint64_t seed =
-              next_seed.fetch_add(1, std::memory_order_relaxed);
-          if (auto f = audit_seed(seed, crash_rate)) {
-            std::scoped_lock lock(fail_mu);
-            if (!first_failure) first_failure = std::move(f);
-            return;
-          }
-          clean_runs.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  util::for_each_index(workers, workers, [&](std::uint64_t) {
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::scoped_lock lock(fail_mu);
+        if (first_failure) return;
+      }
+      const std::uint64_t seed =
+          next_seed.fetch_add(1, std::memory_order_relaxed);
+      if (auto f = audit_seed(seed, crash_rate)) {
+        std::scoped_lock lock(fail_mu);
+        if (!first_failure) first_failure = std::move(f);
+        return;
+      }
+      clean_runs.fetch_add(1, std::memory_order_relaxed);
     }
-    pool.wait_idle();
-  }
+  });
   if (first_failure) {
     std::fputs(first_failure->c_str(), stderr);
     return 2;
