@@ -13,8 +13,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_size_estimation.hpp"
+#include "apps/name_assignment.hpp"
+#include "apps/size_estimation.hpp"
 #include "apps/two_phase_commit.hpp"
 #include "bench_util.hpp"
 #include "workload/churn.hpp"
@@ -46,7 +46,7 @@ EstPoint run_estimation(workload::ChurnModel model, std::uint64_t seed) {
   Sim s;
   Rng rng(seed);
   workload::build(s.tree, workload::Shape::kRandomAttach, 128, rng);
-  apps::DistributedSizeEstimation est(s.net, s.tree, 2.0);
+  apps::SizeEstimation est(s.net, s.tree, 2.0);
   workload::ChurnGenerator churn(model, Rng(seed + 2));
   EstPoint out;
   for (int i = 0; i < 800 && s.tree.size() >= 4; ++i) {
@@ -84,7 +84,7 @@ NamePoint run_names(workload::ChurnModel model, std::uint64_t seed) {
   Sim s;
   Rng rng(seed + 4);
   workload::build(s.tree, workload::Shape::kRandomAttach, 96, rng);
-  apps::DistributedNameAssignment names(s.net, s.tree);
+  apps::NameAssignment names(s.net, s.tree);
   workload::ChurnGenerator churn(model, Rng(seed + 6));
   NamePoint out;
   for (int i = 0; i < 500 && s.tree.size() >= 4; ++i) {

@@ -13,7 +13,7 @@
 // Churn models are independent seeded runs executed as a parallel sweep.
 
 #include "bench_util.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "workload/churn.hpp"
 #include "workload/shapes.hpp"
 
@@ -38,9 +38,9 @@ Point measure(workload::ChurnModel model, std::uint64_t U,
   tree::DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 128, rng);
   const std::uint64_t M = 600;
-  DistributedIterated::Options opts;
+  IteratedController::Options opts;
   opts.track_domains = false;
-  DistributedIterated ctrl(net, t, M, /*W=*/1, U, opts);
+  IteratedController ctrl(net, t, M, /*W=*/1, U, opts);
   workload::ChurnGenerator churn(model, Rng(seed + 8));
   Point out;
   for (int i = 0; i < 900; ++i) {

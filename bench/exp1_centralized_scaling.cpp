@@ -13,7 +13,7 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "util/stats.hpp"
 #include "workload/shapes.hpp"
 

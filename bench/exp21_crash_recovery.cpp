@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "sim/channel.hpp"
 #include "sim/crash.hpp"
 #include "sim/fault.hpp"
@@ -75,13 +75,13 @@ Sample run_point(const Point& pt, std::uint64_t seed) {
   sim::CrashDriver crashes(queue, sched);
   sim::Watchdog wd(queue, 50'000'000);
 
-  DistributedIterated::Options opts;
+  IteratedController::Options opts;
   opts.track_domains = false;
   opts.watchdog = &wd;
   opts.crashes = &crashes;
   opts.durability = pt.durability;
   opts.crash_redrives = 3;
-  DistributedIterated ctrl(net, t, kM, kW, kU, opts);
+  IteratedController ctrl(net, t, kM, kW, kU, opts);
   crashes.start(kNodes, SimTime{1} << 16);
 
   const auto nodes = t.alive_nodes();

@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "core/aaps_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/trivial_controller.hpp"
 #include "util/stats.hpp"
 #include "workload/shapes.hpp"

@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "core/centralized_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "workload/shapes.hpp"
 
 using namespace dyncon;

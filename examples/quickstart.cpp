@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "workload/shapes.hpp"
 
 using namespace dyncon;

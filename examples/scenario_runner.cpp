@@ -28,7 +28,7 @@
 #include "core/adaptive_controller.hpp"
 #include "core/aaps_controller.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/trivial_controller.hpp"
 #include "tree/validate.hpp"
 #include "workload/scenario.hpp"

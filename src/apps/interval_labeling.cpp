@@ -28,7 +28,7 @@ IntervalLabeling::IntervalLabeling(sim::Network& net, tree::DynamicTree& tree,
 IntervalLabeling::IntervalLabeling(sim::Network* net, tree::DynamicTree& tree,
                                    Options options)
     : tree_(tree) {
-  ISizeEstimation::Options se;
+  SizeEstimation::Options se;
   se.track_domains = options.track_domains;
   se.on_iteration_start = [this] {
     // When the network shrank enough that the old labels waste bits,
@@ -36,7 +36,7 @@ IntervalLabeling::IntervalLabeling(sim::Network* net, tree::DynamicTree& tree,
     // size-estimation iteration admitted.
     if (built_for_ > 0 && tree_.size() * 2 <= built_for_) relabel();
   };
-  size_est_ = make_size_estimation(net, tree, 2.0, std::move(se));
+  size_est_ = std::make_unique<SizeEstimation>(net, tree, 2.0, std::move(se));
   relabel();
 }
 

@@ -34,7 +34,7 @@ namespace dyncon::apps {
 
 class IntervalLabeling {
  public:
-  using Callback = ISizeEstimation::Callback;
+  using Callback = SizeEstimation::Callback;
 
   struct Label {
     std::uint64_t pre = 0;   ///< interval start (also the node's address)
@@ -94,7 +94,7 @@ class IntervalLabeling {
   }
 
   tree::DynamicTree& tree_;
-  std::unique_ptr<ISizeEstimation> size_est_;
+  std::unique_ptr<SizeEstimation> size_est_;
   std::unordered_map<NodeId, Label> labels_;
   std::uint64_t built_for_ = 0;  ///< size the labels were last built for
   std::uint64_t relabels_ = 0;

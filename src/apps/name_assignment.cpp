@@ -2,21 +2,25 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace dyncon::apps {
 
-using core::Outcome;
+using core::RequestSpec;
 using core::Result;
 
-NameAssignment::NameAssignment(tree::DynamicTree& tree, Options options)
-    : tree_(tree), options_(options) {
-  start_iteration();
+NameAssignment::NameAssignment(sim::Network* net, tree::DynamicTree& tree,
+                               Options options)
+    : TerminatingIterations(net, tree), options_(options) {
+  start();
 }
 
 void NameAssignment::relabel_dfs(std::uint64_t offset) {
-  // One DFS traversal assigning offset + DFS number; 2(n-1) agent hops.
+  // One DFS token walk assigning offset + DFS number: 2(n-1) hops of
+  // O(log n) bits, applied atomically here (the controller is quiescent at
+  // relabel time, so the walk cannot race anything).
   std::uint64_t dfs = 0;
   std::vector<NodeId> stack{tree_.root()};
   while (!stack.empty()) {
@@ -28,20 +32,20 @@ void NameAssignment::relabel_dfs(std::uint64_t offset) {
       stack.push_back(*it);
     }
   }
-  control_messages_ += 2 * (tree_.size() - 1);
+  messages_base_ += stack_.charge(
+      sim::Message::app_value(sim::AppTopic::kToken, 4 * tree_.size()),
+      2 * (tree_.size() - 1));
 }
 
-void NameAssignment::start_iteration() {
-  ++iterations_;
-  const std::uint64_t ni = tree_.size();
+std::unique_ptr<core::TerminatingController> NameAssignment::iteration(
+    std::uint64_t ni) {
   // Two traversals: temporary range first so identities stay unique while
   // they change (3*N_i + DFS <= 4*N_i <= 4n), then the final [1, N_i].
   relabel_dfs(3 * ni);
   relabel_dfs(0);
   // Drop stale entries of deleted nodes.
-  std::erase_if(ids_, [this](const auto& kv) {
-    return !tree_.alive(kv.first);
-  });
+  std::erase_if(ids_,
+                [this](const auto& kv) { return !tree_.alive(kv.first); });
 
   const std::uint64_t Mi = std::max<std::uint64_t>(ni / 2, 1);
   const std::uint64_t Wi = std::max<std::uint64_t>(ni / 4, 1);
@@ -50,47 +54,18 @@ void NameAssignment::start_iteration() {
   // Serial numbers [N_i + 1, N_i + M_i]: disjoint from [1, N_i] and within
   // [1, 3N_i/2], so every identity stays in [1, 4n] throughout.
   opts.serials = Interval(ni + 1, ni + Mi);
-  inner_ = std::make_unique<core::TerminatingController>(
-      tree_, Mi, Wi, /*U=*/2 * ni + Mi, std::move(opts));
+  return std::make_unique<core::TerminatingController>(
+      stack_.net(), tree_, Mi, Wi, /*U=*/2 * ni + Mi, std::move(opts));
 }
 
-template <typename Fn>
-Result NameAssignment::with_rotation(Fn&& submit) {
-  for (;;) {
-    Result r = submit(*inner_);
-    if (r.outcome != Outcome::kTerminated) return r;
-    messages_base_ += inner_->cost();
-    start_iteration();
-  }
-}
-
-Result NameAssignment::request_add_leaf(NodeId parent) {
-  Result r = with_rotation([&](core::TerminatingController& c) {
-    return c.request_add_leaf(parent);
-  });
-  if (r.granted()) {
+void NameAssignment::on_verdict(const RequestSpec& spec, const Result& r) {
+  if (!r.granted()) return;
+  if (r.new_node != kNoNode) {
     DYNCON_INVARIANT(r.serial.has_value(), "granted permit carries no name");
     ids_[r.new_node] = *r.serial;
+  } else if (spec.type == RequestSpec::Type::kRemove) {
+    ids_.erase(spec.subject);
   }
-  return r;
-}
-
-Result NameAssignment::request_add_internal_above(NodeId child) {
-  Result r = with_rotation([&](core::TerminatingController& c) {
-    return c.request_add_internal_above(child);
-  });
-  if (r.granted()) {
-    DYNCON_INVARIANT(r.serial.has_value(), "granted permit carries no name");
-    ids_[r.new_node] = *r.serial;
-  }
-  return r;
-}
-
-Result NameAssignment::request_remove(NodeId v) {
-  Result r = with_rotation(
-      [&](core::TerminatingController& c) { return c.request_remove(v); });
-  if (r.granted()) ids_.erase(v);
-  return r;
 }
 
 std::uint64_t NameAssignment::id_of(NodeId v) const {
@@ -112,10 +87,6 @@ bool NameAssignment::ids_unique() const {
     if (!seen.insert(id_of(v)).second) return false;
   }
   return true;
-}
-
-std::uint64_t NameAssignment::messages() const {
-  return messages_base_ + control_messages_ + inner_->cost();
 }
 
 }  // namespace dyncon::apps

@@ -1,6 +1,7 @@
 #pragma once
 
-// The size-estimation protocol of §5.1 (Theorem 5.1).
+// The size-estimation protocol of §5.1 (Theorem 5.1), over either
+// controller stack.
 //
 // Every node maintains a beta-approximation n~ of the current network size:
 // n/beta <= n~ <= beta*n at all times.  The protocol runs in iterations:
@@ -12,26 +13,27 @@
 // an iteration, and each iteration's O(N_i log^2 N_i) messages amortize to
 // O(log^2 n) per change.
 //
+// Over the centralized stack (`SizeEstimation(tree, …)`) every request
+// completes before submit returns and the count and broadcast are charged
+// analytically (2 N_i per iteration).  Over the simulator
+// (`SizeEstimation(net, tree, …)`) iteration i > 1 counts N_i with a real
+// broadcast/convergecast, and the dissemination broadcast is charged to
+// the network.
+//
 // All topological changes MUST flow through this protocol's request
 // methods (the controlled dynamic model).
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
-#include "core/terminating_controller.hpp"
-#include "sim/network.hpp"
+#include "apps/terminating_iterations.hpp"
 
 namespace dyncon::apps {
 
-/// The §5.1 layer as the §5.3–§5.4 schemes see it, over either controller
-/// stack: SizeEstimation (centralized) or DistributedSizeEstimation (the
-/// simulator).  Lemma 4.3 makes the two one protocol, so each scheme above
-/// is written once against this interface.
-class ISizeEstimation {
+class SizeEstimation final : public TerminatingIterations {
  public:
-  using Callback = std::function<void(const core::Result&)>;
-
   struct Options {
     bool track_domains = false;
     /// Forwarded to the controller iterations (§5.3; used by
@@ -41,79 +43,40 @@ class ISizeEstimation {
     std::function<void()> on_iteration_start;
   };
 
-  ISizeEstimation() = default;
-  ISizeEstimation(const ISizeEstimation&) = delete;
-  ISizeEstimation& operator=(const ISizeEstimation&) = delete;
-  virtual ~ISizeEstimation() = default;
-
-  /// Submit a topological request (kEvent requests are rejected by
-  /// contract: this protocol only meters membership changes).
-  virtual void submit(const core::RequestSpec& spec, Callback done) = 0;
-  /// Charge `count` transmissions of `prototype` (an app's control
-  /// traffic) to the network the layer runs on.
-  virtual void charge(const sim::Message& prototype,
-                      std::uint64_t count) = 0;
-
-  /// The network-wide estimate (the current iteration's N_i).
-  [[nodiscard]] virtual std::uint64_t estimate() const = 0;
-  [[nodiscard]] virtual std::uint64_t iterations() const = 0;
-  [[nodiscard]] virtual std::uint64_t messages() const = 0;
-  [[nodiscard]] virtual double beta() const = 0;
-};
-
-/// The §5.1 layer over the simulator when `net` is set, otherwise over the
-/// centralized controller stack.
-[[nodiscard]] std::unique_ptr<ISizeEstimation> make_size_estimation(
-    sim::Network* net, tree::DynamicTree& tree, double beta,
-    ISizeEstimation::Options options);
-
-class SizeEstimation final : public ISizeEstimation {
- public:
-  SizeEstimation(tree::DynamicTree& tree, double beta, Options options);
+  /// Over the centralized controller stack.
+  SizeEstimation(tree::DynamicTree& tree, double beta, Options options)
+      : SizeEstimation(nullptr, tree, beta, std::move(options)) {}
   SizeEstimation(tree::DynamicTree& tree, double beta)
-      : SizeEstimation(tree, beta, Options{}) {}
+      : SizeEstimation(nullptr, tree, beta, Options{}) {}
+  /// Over the simulator.
+  SizeEstimation(sim::Network& net, tree::DynamicTree& tree, double beta,
+                 Options options)
+      : SizeEstimation(&net, tree, beta, std::move(options)) {}
+  SizeEstimation(sim::Network& net, tree::DynamicTree& tree, double beta)
+      : SizeEstimation(&net, tree, beta, Options{}) {}
+  /// Over the simulator when `net` is set, else the centralized stack.
+  SizeEstimation(sim::Network* net, tree::DynamicTree& tree, double beta,
+                 Options options);
 
-  core::Result request_add_leaf(NodeId parent);
-  core::Result request_add_internal_above(NodeId child);
-  core::Result request_remove(NodeId v);
-
-  /// Runs the request to its verdict: `done` fires before submit returns.
-  void submit(const core::RequestSpec& spec, Callback done) override;
-  /// No network underneath: control traffic is charged analytically.
-  void charge(const sim::Message&, std::uint64_t) override {}
+  /// Charge `count` transmissions of `prototype` (an app's control
+  /// traffic) to the network underneath; a no-op on the centralized stack.
+  void charge(const sim::Message& prototype, std::uint64_t count) {
+    stack_.charge(prototype, count);
+  }
 
   /// The estimate every node currently holds (identical network-wide: it is
   /// the N_i broadcast at iteration start).
-  [[nodiscard]] std::uint64_t estimate() const override { return ni_; }
-
-  [[nodiscard]] double beta() const override { return beta_; }
-  [[nodiscard]] std::uint64_t iterations() const override {
-    return iterations_;
-  }
-
-  /// Total messages: controller traffic plus the per-iteration counting
-  /// broadcast/upcast.
-  [[nodiscard]] std::uint64_t messages() const override;
-
-  [[nodiscard]] const core::TerminatingController& controller() const {
-    return *inner_;
-  }
+  [[nodiscard]] std::uint64_t estimate() const { return ni_; }
+  [[nodiscard]] double beta() const { return beta_; }
 
  private:
-  template <typename Fn>
-  core::Result with_rotation(Fn&& submit);
-  void start_iteration();
+  std::unique_ptr<core::TerminatingController> iteration(
+      std::uint64_t ni) override;
 
-  tree::DynamicTree& tree_;
   double beta_;
   double alpha_;
   Options options_;
-
-  std::unique_ptr<core::TerminatingController> inner_;
   std::uint64_t ni_ = 0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t control_messages_ = 0;
-  std::uint64_t messages_base_ = 0;
 };
 
 }  // namespace dyncon::apps

@@ -31,13 +31,13 @@ SubtreeEstimator::SubtreeEstimator(sim::Network* net,
                                    tree::DynamicTree& tree, double beta,
                                    Options options)
     : tree_(tree), options_(std::move(options)) {
-  ISizeEstimation::Options se;
+  SizeEstimation::Options se;
   se.track_domains = options_.track_domains;
   se.on_pass_down = [this](NodeId v, std::uint64_t permits) {
     on_pass_down(v, permits);
   };
   se.on_iteration_start = [this] { on_iteration_start(); };
-  size_est_ = make_size_estimation(net, tree, beta, std::move(se));
+  size_est_ = std::make_unique<SizeEstimation>(net, tree, beta, std::move(se));
   // The layer started its first iteration inside its own construction,
   // before size_est_ was set; that iteration's baseline is computed here.
   on_iteration_start();

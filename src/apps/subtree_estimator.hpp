@@ -32,7 +32,7 @@ namespace dyncon::apps {
 
 class SubtreeEstimator {
  public:
-  using Callback = ISizeEstimation::Callback;
+  using Callback = SizeEstimation::Callback;
 
   struct Options {
     bool track_domains = false;
@@ -91,7 +91,7 @@ class SubtreeEstimator {
 
   tree::DynamicTree& tree_;
   Options options_;
-  std::unique_ptr<ISizeEstimation> size_est_;
+  std::unique_ptr<SizeEstimation> size_est_;
 
   std::unordered_map<NodeId, std::uint64_t> w0_;      ///< iteration baseline
   std::unordered_map<NodeId, std::uint64_t> passed_;  ///< S(u)

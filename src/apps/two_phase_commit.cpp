@@ -13,7 +13,7 @@ TwoPhaseCommit::TwoPhaseCommit(sim::Network& net, tree::DynamicTree& tree,
       tree_(tree),
       beta_(beta),
       size_est_(net, tree, beta,
-                DistributedSizeEstimation::Options{options.track_domains}),
+                SizeEstimation::Options{options.track_domains, {}, {}}),
       cast_(net, tree) {
   DYNCON_REQUIRE(beta > 1.0 && beta * beta < 2.0,
                  "beta must be in (1, sqrt(2)) for a usable threshold");

@@ -21,14 +21,15 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "apps/distributed_size_estimation.hpp"
+#include "agent/convergecast.hpp"
 #include "apps/majority_commit.hpp"  // Vote / Decision vocabulary
+#include "apps/size_estimation.hpp"
 
 namespace dyncon::apps {
 
 class TwoPhaseCommit {
  public:
-  using Callback = core::DistributedController::Callback;
+  using Callback = SizeEstimation::Callback;
 
   struct Options {
     bool track_domains = false;
@@ -68,7 +69,7 @@ class TwoPhaseCommit {
   sim::Network& net_;
   tree::DynamicTree& tree_;
   double beta_;
-  DistributedSizeEstimation size_est_;
+  SizeEstimation size_est_;
   agent::Convergecast cast_;
   std::unordered_map<NodeId, Vote> votes_;
   std::unordered_map<NodeId, Decision> decisions_;

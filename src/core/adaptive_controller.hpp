@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/terminating_controller.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::core {
 

@@ -53,6 +53,20 @@ Result CentralizedController::request_remove(NodeId v) {
   return handle(v, EventSpec{EventSpec::Type::kRemove, v});
 }
 
+void CentralizedController::submit(const RequestSpec& spec, Callback done) {
+  DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
+  switch (spec.type) {
+    case RequestSpec::Type::kEvent:
+      return done(request_event(spec.subject));
+    case RequestSpec::Type::kAddLeaf:
+      return done(request_add_leaf(spec.subject));
+    case RequestSpec::Type::kAddInternal:
+      return done(request_add_internal_above(spec.subject));
+    case RequestSpec::Type::kRemove:
+      return done(request_remove(spec.subject));
+  }
+}
+
 std::uint64_t CentralizedController::cost() const {
   return packages_.move_complexity();
 }

@@ -7,13 +7,18 @@
 // the controller applies the change to the shared DynamicTree if and when
 // it grants the permit, so a change can never happen without a permit.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ostream>
 
 #include "util/ids.hpp"
 
 namespace dyncon::core {
+
+class DomainTracker;
+class Params;
 
 enum class Outcome : std::uint8_t {
   kGranted,     ///< permit delivered; the requested event happened
@@ -94,7 +99,7 @@ struct Result {
   /// For granted add-leaf / add-internal requests: the new node's id.
   NodeId new_node = kNoNode;
   /// Permit serial number, when the controller tracks serials (§5.2).
-  std::optional<std::uint64_t> serial;
+  std::optional<std::uint64_t> serial = std::nullopt;
 
   [[nodiscard]] bool granted() const { return outcome == Outcome::kGranted; }
 };
@@ -118,6 +123,38 @@ class IController {
   [[nodiscard]] virtual std::uint64_t cost() const = 0;
 
   [[nodiscard]] virtual std::uint64_t permits_granted() const = 0;
+};
+
+/// The asynchronous (M,W)-controller both base controllers implement: §3's
+/// centralized one answers before submit returns, §4's distributed one
+/// from the event loop.  By Lemma 4.3 the two are one protocol, so the
+/// iteration and termination wrappers are written once against this.
+class BaseController {
+ public:
+  /// Completion callback.  Deliberately std::function, not the hot-path
+  /// InlineFn: it is stored once per *request* (not per event/send), and
+  /// callers legitimately capture big closures (test fixtures, latching
+  /// lambdas) that must not be squeezed into a 64-byte inline budget.
+  using Callback = std::function<void(const Result&)>;
+
+  virtual ~BaseController() = default;
+
+  virtual void submit(const RequestSpec& spec, Callback done) = 0;
+
+  /// The paper's cost measure so far: moves or messages.
+  [[nodiscard]] virtual std::uint64_t cost() const = 0;
+  [[nodiscard]] virtual std::uint64_t permits_granted() const = 0;
+  /// Unused permits in packages plus the root storage (Obs. 3.4's L).
+  [[nodiscard]] virtual std::uint64_t unused_permits() const = 0;
+  [[nodiscard]] virtual const Params& params() const = 0;
+  [[nodiscard]] virtual bool reject_wave_started() const = 0;
+  [[nodiscard]] virtual const DomainTracker* domains() const = 0;
+  /// Agents still walking, and lock holders doomed by a crash (audits).
+  [[nodiscard]] virtual std::size_t active_agents() const { return 0; }
+  [[nodiscard]] virtual std::size_t doomed_holders() const { return 0; }
+  /// The orphan-lock release wave (a watchdog death probe); true if it
+  /// acted or a node outage is still in progress.
+  virtual bool crash_recover() { return false; }
 };
 
 }  // namespace dyncon::core

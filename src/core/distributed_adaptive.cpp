@@ -44,17 +44,17 @@ void DistributedAdaptive::start_iteration() {
   max_n_ = std::max(max_n_, n);
   ui_ = options_.policy == Policy::kChangeCount ? 2 * n : 2 * max_n_;
 
-  DistributedTerminating::Options main_opts;
+  TerminatingController::Options main_opts;
   main_opts.track_domains = options_.track_domains;
   main_opts.allow_unreliable_transport = options_.allow_unreliable_transport;
   main_opts.crashes = options_.crashes;
   main_opts.durability = options_.durability;
   main_opts.meter_persistence = options_.meter_persistence;
   main_opts.crash_redrives = options_.crash_redrives;
-  main_ = std::make_unique<DistributedTerminating>(net_, tree_, mi_, w_, ui_,
-                                                   main_opts);
+  main_ = std::make_unique<TerminatingController>(net_, tree_, mi_, w_, ui_,
+                                                  main_opts);
 
-  DistributedTerminating::Options counter_opts;
+  TerminatingController::Options counter_opts;
   counter_opts.track_domains = false;   // accounting sidecar only
   counter_opts.apply_events = false;    // counts, never applies changes
   counter_opts.allow_unreliable_transport =
@@ -63,7 +63,7 @@ void DistributedAdaptive::start_iteration() {
   counter_opts.durability = options_.durability;
   counter_opts.meter_persistence = options_.meter_persistence;
   counter_opts.crash_redrives = options_.crash_redrives;
-  counter_ = std::make_unique<DistributedTerminating>(
+  counter_ = std::make_unique<TerminatingController>(
       net_, tree_, std::max<std::uint64_t>(ui_ / 2, 1),
       std::max<std::uint64_t>(ui_ / 4, 1), ui_, counter_opts);
 }

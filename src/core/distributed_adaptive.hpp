@@ -24,7 +24,8 @@
 #include <deque>
 #include <memory>
 
-#include "core/distributed_iterated.hpp"
+#include "core/distributed_controller.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::core {
 
@@ -46,7 +47,7 @@ class DistributedAdaptive {
     /// Forwarded to both inner controllers (main + counting sidecar).
     bool allow_unreliable_transport = false;
     /// Crash stack, forwarded to both inner controllers; the wrapper's
-    /// death probe sweeps both (see DistributedIterated::Options).
+    /// death probe sweeps both (see IteratedController::Options).
     sim::CrashDriver* crashes = nullptr;
     agent::Durability durability = agent::Durability::kVolatile;
     bool meter_persistence = false;
@@ -92,8 +93,8 @@ class DistributedAdaptive {
   std::uint64_t ui_ = 0;
   std::uint64_t max_n_ = 0;
 
-  std::unique_ptr<DistributedTerminating> main_;
-  std::unique_ptr<DistributedTerminating> counter_;
+  std::unique_ptr<TerminatingController> main_;
+  std::unique_ptr<TerminatingController> counter_;
   bool rotating_ = false;
   bool done_ = false;
   bool wave_charged_ = false;

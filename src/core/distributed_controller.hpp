@@ -58,7 +58,8 @@ class Watchdog;
 
 namespace dyncon::core {
 
-class DistributedController : public sim::CrashListener {
+class DistributedController final : public BaseController,
+                                    public sim::CrashListener {
  public:
   enum class Mode : std::uint8_t { kRejectWave, kExhaustSignal };
 
@@ -115,18 +116,12 @@ class DistributedController : public sim::CrashListener {
     bool batch_grants = true;
   };
 
-  /// Completion callback.  Deliberately std::function, not the hot-path
-  /// InlineFn: it is stored once per *request* (not per event/send), and
-  /// callers legitimately capture big closures (test fixtures, latching
-  /// lambdas) that must not be squeezed into a 64-byte inline budget.
-  using Callback = std::function<void(const Result&)>;
-
   DistributedController(sim::Network& net, tree::DynamicTree& tree,
                         Params params, Options options);
   DistributedController(sim::Network& net, tree::DynamicTree& tree,
                         Params params)
       : DistributedController(net, tree, params, Options{}) {}
-  ~DistributedController();
+  ~DistributedController() override;
 
   DistributedController(const DistributedController&) = delete;
   DistributedController& operator=(const DistributedController&) = delete;
@@ -147,9 +142,11 @@ class DistributedController : public sim::CrashListener {
   /// request).  Returns true if it acted or a node outage is still in
   /// progress — the contract of a watchdog death probe, and the wrappers
   /// install exactly this as one.
-  bool crash_recover();
+  bool crash_recover() override;
 
-  [[nodiscard]] std::size_t doomed_holders() const { return doomed_.size(); }
+  [[nodiscard]] std::size_t doomed_holders() const override {
+    return doomed_.size();
+  }
   [[nodiscard]] const agent::DurableStore* durable_store() const {
     return durable_.get();
   }
@@ -160,26 +157,31 @@ class DistributedController : public sim::CrashListener {
   void submit_add_leaf(NodeId parent, Callback done);
   void submit_add_internal_above(NodeId child, Callback done);
   void submit_remove(NodeId v, Callback done);
-  void submit(const RequestSpec& spec, Callback done);
+  void submit(const RequestSpec& spec, Callback done) override;
 
   // ---- introspection ---------------------------------------------------------
 
-  [[nodiscard]] const Params& params() const { return params_; }
-  [[nodiscard]] std::uint64_t permits_granted() const { return granted_; }
+  [[nodiscard]] const Params& params() const override { return params_; }
+  [[nodiscard]] std::uint64_t permits_granted() const override {
+    return granted_;
+  }
   [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
   [[nodiscard]] std::uint64_t root_storage() const { return storage_; }
-  [[nodiscard]] std::uint64_t unused_permits() const;
-  [[nodiscard]] bool reject_wave_started() const { return wave_; }
+  [[nodiscard]] std::uint64_t unused_permits() const override;
+  [[nodiscard]] bool reject_wave_started() const override { return wave_; }
   [[nodiscard]] bool exhausted() const { return exhausted_; }
-  [[nodiscard]] std::size_t active_agents() const { return agents_.size(); }
+  [[nodiscard]] std::size_t active_agents() const override {
+    return agents_.size();
+  }
   [[nodiscard]] const PackageTable& packages() const { return packages_; }
-  [[nodiscard]] const DomainTracker* domains() const {
+  [[nodiscard]] const DomainTracker* domains() const override {
     return domains_.get();
   }
 
   /// Messages this instance has put on the network (agent hops + reject
   /// flood + data handoffs): the paper's message complexity.
   [[nodiscard]] std::uint64_t messages_used() const { return messages_; }
+  [[nodiscard]] std::uint64_t cost() const override { return messages_; }
 
   /// Modeled whiteboard memory at node v in bits (Claim 4.8 accounting).
   /// In the designer-port model (§4.4.2) the agent queue at v is kept as a

@@ -1,197 +1,13 @@
 #pragma once
 
-// Distributed iteration wrappers (Theorem 4.7 and Observation 2.1).
-//
-// `DistributedIterated` runs DistributedController instances in iterations
-// exactly like the centralized IteratedController: iteration i uses
-// (M_i, M_i/2); when the root first signals exhaustion the wrapper *drains*
-// the instance (lets every active agent finish — the distributed stand-in
-// for "all actions of the controller have been completed"), counts the
-// leftover L with a broadcast/upcast (charged as control messages), clears
-// the structure, and starts iteration i+1 with M_{i+1} = L.  Requests that
-// saw the exhaustion are replayed on the next instance.
-//
-// `DistributedTerminating` is the Observation 2.1 transform: it never
-// rejects; when the pipeline exhausts it terminates (broadcast + upcast),
-// and it can also be terminated externally (`terminate`), which is what the
-// adaptive controller's rotation uses.
+// The simulator stack's older name for the iterated wrapper, kept for code
+// written against it (perfbench's `dist-faulty` workload).  New code uses
+// IteratedController from core/iterated.hpp.
 
-#include <cstdint>
-#include <deque>
-#include <memory>
-
-#include "core/distributed_controller.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::core {
 
-class DistributedIterated {
- public:
-  using Mode = DistributedController::Mode;
-  using Callback = DistributedController::Callback;
-
-  struct Options {
-    Mode mode = Mode::kRejectWave;
-    bool track_domains = true;
-    bool apply_events = true;
-    Interval serials;
-    /// Forwarded to every base-controller iteration (§5.3).
-    std::function<void(NodeId, std::uint64_t)> on_pass_down;
-    /// Armed/disarmed at *this* wrapper's submit boundary — one token per
-    /// request across every replay the rotation performs.  Deliberately
-    /// not forwarded to the inner iterations (that would double-arm).
-    sim::Watchdog* watchdog = nullptr;
-    /// Forwarded to every iteration (see DistributedController::Options).
-    bool allow_unreliable_transport = false;
-    /// Crash stack, forwarded to every iteration.  The wrapper also
-    /// installs the watchdog death probe itself, over whichever instance
-    /// is current, so the orphan-lock release wave survives rotation.
-    sim::CrashDriver* crashes = nullptr;
-    agent::Durability durability = agent::Durability::kVolatile;
-    bool meter_persistence = false;
-    /// Volatile whiteboards only: how many times a crash-failed request is
-    /// resubmitted before its rejection is surfaced.  The watchdog token
-    /// armed at this wrapper's boundary stays armed across redrives, so a
-    /// request can never ping-pong forever unnoticed.
-    std::uint32_t crash_redrives = 2;
-  };
-
-  DistributedIterated(sim::Network& net, tree::DynamicTree& tree,
-                      std::uint64_t M, std::uint64_t W, std::uint64_t U,
-                      Options options);
-  DistributedIterated(sim::Network& net, tree::DynamicTree& tree,
-                      std::uint64_t M, std::uint64_t W, std::uint64_t U)
-      : DistributedIterated(net, tree, M, W, U, Options{}) {}
-  ~DistributedIterated();
-
-  DistributedIterated(const DistributedIterated&) = delete;
-  DistributedIterated& operator=(const DistributedIterated&) = delete;
-
-  void submit(const RequestSpec& spec, Callback done);
-  void submit_event(NodeId u, Callback done);
-  void submit_add_leaf(NodeId parent, Callback done);
-  void submit_add_internal_above(NodeId child, Callback done);
-  void submit_remove(NodeId v, Callback done);
-
-  [[nodiscard]] std::uint64_t messages_used() const;
-  [[nodiscard]] std::uint64_t permits_granted() const;
-  [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
-  [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
-  /// True once every future request will be rejected (the pipeline is
-  /// spent, or the final iteration has started its reject wave).
-  [[nodiscard]] bool done() const {
-    return phase_ == Phase::kDone ||
-           (inner_ && inner_->reject_wave_started());
-  }
-  [[nodiscard]] std::uint64_t unused_permits() const;
-  [[nodiscard]] const DistributedController* inner() const {
-    return inner_.get();
-  }
-  /// No agents active anywhere in the pipeline.
-  [[nodiscard]] bool quiescent() const { return inflight_ == 0; }
-
-  /// Forwarded to the current iteration's controller (see
-  /// DistributedController::crash_recover); false between iterations.
-  bool crash_recover();
-
-  /// Stop accepting grants: drain, then call `on_done` (used by the
-  /// terminating transform / adaptive rotation).  Subsequent submissions
-  /// complete with kExhausted.
-  void freeze(std::function<void()> on_done);
-
- private:
-  enum class Phase : std::uint8_t {
-    kIterating,
-    kFinal,
-    kTrivial,
-    kDone,
-  };
-
-  void dispatch(const RequestSpec& spec, Callback done,
-                std::uint32_t redrives_left);
-  void start_iteration(std::uint64_t Mi);
-  void rotate();
-  void maybe_finish_drain();
-  void complete_async(Callback done, Result r);
-  void apply_trivial(const RequestSpec& spec, Result& r);
-
-  sim::Network& net_;
-  tree::DynamicTree& tree_;
-  std::uint64_t m_, w_, u_;
-  Options options_;
-
-  std::unique_ptr<DistributedController> inner_;
-  Phase phase_ = Phase::kIterating;
-  bool draining_ = false;
-  bool frozen_ = false;
-  std::function<void()> on_frozen_;
-  std::uint64_t inflight_ = 0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t trivial_storage_ = 0;
-  std::deque<std::pair<RequestSpec, Callback>> pending_;
-  std::uint64_t messages_base_ = 0;
-  std::uint64_t granted_base_ = 0;
-  std::uint64_t rejects_ = 0;
-  bool wave_charged_ = false;
-};
-
-/// Observation 2.1: the terminating (M,W)-controller.  Never rejects; on
-/// exhaustion it terminates with M-W <= granted <= M.
-class DistributedTerminating {
- public:
-  using Callback = DistributedController::Callback;
-
-  struct Options {
-    bool track_domains = true;
-    bool apply_events = true;
-    Interval serials;
-    std::function<void(NodeId, std::uint64_t)> on_pass_down;
-    /// Handed to the inner iterated wrapper, which arms one token per
-    /// request at its own submit boundary.
-    sim::Watchdog* watchdog = nullptr;
-    bool allow_unreliable_transport = false;
-    /// See DistributedIterated::Options.
-    sim::CrashDriver* crashes = nullptr;
-    agent::Durability durability = agent::Durability::kVolatile;
-    bool meter_persistence = false;
-    std::uint32_t crash_redrives = 2;
-  };
-
-  DistributedTerminating(sim::Network& net, tree::DynamicTree& tree,
-                         std::uint64_t M, std::uint64_t W, std::uint64_t U,
-                         Options options);
-  DistributedTerminating(sim::Network& net, tree::DynamicTree& tree,
-                         std::uint64_t M, std::uint64_t W, std::uint64_t U)
-      : DistributedTerminating(net, tree, M, W, U, Options{}) {}
-
-  void submit(const RequestSpec& spec, Callback done);
-  void submit_event(NodeId u, Callback done);
-  void submit_add_leaf(NodeId parent, Callback done);
-  void submit_add_internal_above(NodeId child, Callback done);
-  void submit_remove(NodeId v, Callback done);
-
-  [[nodiscard]] bool terminated() const { return terminated_; }
-  [[nodiscard]] std::uint64_t messages_used() const;
-  [[nodiscard]] std::uint64_t permits_granted() const {
-    return inner_.permits_granted();
-  }
-  [[nodiscard]] bool quiescent() const { return inner_.quiescent(); }
-
-  /// Externally terminate (adaptive rotation): drain, broadcast/upcast,
-  /// then `on_done` fires.  Idempotent.
-  void terminate(std::function<void()> on_done);
-
-  /// Forwarded orphan-lock release wave (the adaptive wrapper probes both
-  /// of its instances through this).
-  bool crash_recover() { return inner_.crash_recover(); }
-
- private:
-  void mark_terminated();
-
-  sim::Network& net_;
-  tree::DynamicTree& tree_;
-  DistributedIterated inner_;
-  bool terminated_ = false;
-  std::uint64_t control_messages_ = 0;
-};
+using DistributedIterated = IteratedController;
 
 }  // namespace dyncon::core

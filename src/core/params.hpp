@@ -21,7 +21,7 @@
 //
 // W = 0 is excluded here: the paper handles it by running an (M,1)-
 // controller followed by the trivial (1,0)-controller (Obs. 3.4 / Thm. 4.7),
-// which is what `IteratedController` / `DistributedIterated` implement.
+// which is what `IteratedController` implements.
 
 #include <cstdint>
 #include <string>

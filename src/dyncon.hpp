@@ -27,24 +27,21 @@
 #include "core/domain.hpp"                  // §3.2 domain invariants
 #include "core/controller_iface.hpp"        // Outcome/Result/RequestSpec
 #include "core/centralized_controller.hpp"  // GrantOrReject + Proc
-#include "core/iterated_controller.hpp"     // Obs. 3.4
-#include "core/terminating_controller.hpp"  // Obs. 2.1
-#include "core/adaptive_controller.hpp"     // Thm. 3.5 (unknown U)
 #include "core/distributed_controller.hpp"  // §4 agents + locks
-#include "core/distributed_iterated.hpp"    // Thm. 4.7 / Obs. 2.1
+// Over either stack: X(tree, …) centralized or X(net, tree, …) simulated.
+#include "core/iterated.hpp"                // Obs. 3.4 / Thm. 4.7, Obs. 2.1
+#include "core/adaptive_controller.hpp"     // Thm. 3.5 (unknown U)
 #include "core/distributed_adaptive.hpp"    // Thm. 4.9 / App. A
 #include "core/message_meter.hpp"           // §2.2 metered protocols
 #include "core/aaps_controller.hpp"         // the [4] baseline
 #include "core/trivial_controller.hpp"      // the Omega(n)/request baseline
 
 // Applications (§5).
-#include "apps/size_estimation.hpp"
-#include "apps/name_assignment.hpp"
 #include "apps/majority_commit.hpp"
-#include "apps/distributed_size_estimation.hpp"
-#include "apps/distributed_name_assignment.hpp"
 #include "apps/two_phase_commit.hpp"
-// §5.3–§5.4, each over either controller stack: X(tree) or X(net, tree).
+// §5.1–§5.4, each over either controller stack: X(tree) or X(net, tree).
+#include "apps/size_estimation.hpp"     // Thm. 5.1
+#include "apps/name_assignment.hpp"     // Thm. 5.2
 #include "apps/subtree_estimator.hpp"   // Lemma 5.3
 #include "apps/heavy_child.hpp"         // Thm. 5.4
 #include "apps/interval_labeling.hpp"   // Obs. 5.5: ancestry + routing

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/aaps_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/trivial_controller.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/distributed_controller.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "sim/channel.hpp"
 #include "sim/fault.hpp"
 #include "sim/watchdog.hpp"
@@ -134,9 +134,9 @@ TEST(ChaosSoak, IteratedPipelineSurvivesChaos) {
   workload::build(t, workload::Shape::kRandomAttach, 24, rng);
 
   const std::uint64_t M = 48, W = 6;
-  DistributedIterated::Options opts;
+  IteratedController::Options opts;
   opts.watchdog = &wd;
-  DistributedIterated ctrl(net, t, M, W, 256, opts);
+  IteratedController ctrl(net, t, M, W, 256, opts);
   const auto nodes = t.alive_nodes();
   std::uint64_t answered = 0, granted = 0;
   const std::uint64_t requests = 120;

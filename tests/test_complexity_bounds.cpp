@@ -9,7 +9,7 @@
 
 #include "apps/size_estimation.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/trivial_controller.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -6,7 +6,7 @@
 
 #include "apps/size_estimation.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/message_meter.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"

@@ -14,7 +14,7 @@
 
 #include "agent/durable.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "obs/metrics.hpp"
 #include "sim/channel.hpp"
 #include "sim/crash.hpp"
@@ -297,12 +297,12 @@ TEST(CrashRecovery, IteratedWrapperRedrivesCrashFailedRequests) {
   sim::Watchdog wd(queue, 20'000'000);
 
   const std::uint64_t M = 48, W = 6;
-  DistributedIterated::Options opts;
+  IteratedController::Options opts;
   opts.watchdog = &wd;
   opts.crashes = &crashes;
   opts.durability = agent::Durability::kVolatile;
   opts.crash_redrives = 3;
-  DistributedIterated ctrl(net, t, M, W, 256, opts);
+  IteratedController ctrl(net, t, M, W, 256, opts);
   crashes.start(24, SimTime{1} << 15);
 
   const auto nodes = t.alive_nodes();

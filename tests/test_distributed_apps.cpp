@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_size_estimation.hpp"
 #include "apps/heavy_child.hpp"
+#include "apps/name_assignment.hpp"
+#include "apps/size_estimation.hpp"
 #include "apps/two_phase_commit.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
@@ -34,7 +34,7 @@ TEST(DistSizeEstimation, BetaInvariantUnderSerializedChurn) {
   Rng rng(1);
   workload::build(s.tree, workload::Shape::kRandomAttach, 64, rng);
   const double beta = 2.0;
-  DistributedSizeEstimation est(s.net, s.tree, beta);
+  SizeEstimation est(s.net, s.tree, beta);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(2));
   for (int i = 0; i < 400; ++i) {
     if (s.tree.size() < 4) break;
@@ -61,7 +61,7 @@ TEST(DistSizeEstimation, ConcurrentBurstsStayInBand) {
     Rng rng(3);
     workload::build(s.tree, workload::Shape::kRandomAttach, 48, rng);
     const double beta = 2.0;
-    DistributedSizeEstimation est(s.net, s.tree, beta);
+    SizeEstimation est(s.net, s.tree, beta);
     workload::ChurnGenerator churn(workload::ChurnModel::kFlashCrowd,
                                    Rng(5));
     int answered = 0;
@@ -85,7 +85,7 @@ TEST(DistSizeEstimation, ConcurrentBurstsStayInBand) {
 
 TEST(DistSizeEstimation, RejectsNonTopologicalRequests) {
   Sim s;
-  DistributedSizeEstimation est(s.net, s.tree, 2.0);
+  SizeEstimation est(s.net, s.tree, 2.0);
   EXPECT_THROW(est.submit(RequestSpec{RequestSpec::Type::kEvent, 0},
                           [](const Result&) {}),
                ContractError);
@@ -95,7 +95,7 @@ TEST(DistSizeEstimation, MessagesAmortizePolylog) {
   Sim s;
   Rng rng(7);
   workload::build(s.tree, workload::Shape::kRandomAttach, 256, rng);
-  DistributedSizeEstimation est(s.net, s.tree, 2.0);
+  SizeEstimation est(s.net, s.tree, 2.0);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(9));
   const int steps = 600;
   for (int i = 0; i < steps; ++i) {
@@ -202,7 +202,7 @@ TEST(DistNameAssignment, InitialIdsDenseUnique) {
   Sim s;
   Rng rng(23);
   workload::build(s.tree, workload::Shape::kRandomAttach, 50, rng);
-  DistributedNameAssignment names(s.net, s.tree);
+  NameAssignment names(s.net, s.tree);
   EXPECT_TRUE(names.ids_unique());
   EXPECT_LE(names.max_id(), 50u);
 }
@@ -211,7 +211,7 @@ TEST(DistNameAssignment, InvariantsUnderSerializedChurn) {
   Sim s;
   Rng rng(25);
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
-  DistributedNameAssignment names(s.net, s.tree);
+  NameAssignment names(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(27));
   for (int i = 0; i < 300; ++i) {
@@ -228,7 +228,7 @@ TEST(DistNameAssignment, InvariantsUnderConcurrentBursts) {
   Sim s(sim::DelayKind::kUniform, 41);
   Rng rng(29);
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
-  DistributedNameAssignment names(s.net, s.tree);
+  NameAssignment names(s.net, s.tree);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(31));
   int answered = 0;
   for (int burst = 0; burst < 40; ++burst) {
@@ -315,7 +315,7 @@ TEST(DistNameAssignment, NewNodesNamedFromSerialRange) {
   Sim s;
   Rng rng(33);
   workload::build(s.tree, workload::Shape::kRandomAttach, 20, rng);
-  DistributedNameAssignment names(s.net, s.tree);
+  NameAssignment names(s.net, s.tree);
   NodeId joined = kNoNode;
   names.submit_add_leaf(s.tree.root(), [&](const Result& r) {
     ASSERT_TRUE(r.granted());

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/distributed_adaptive.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
@@ -45,7 +45,7 @@ TEST(DistIterated, GrantsUpToMThenRejects) {
   Sim s;
   workload::build(s.tree, workload::Shape::kRandomAttach, 16, rng);
   const std::uint64_t M = 30;
-  DistributedIterated ctrl(s.net, s.tree, M, /*W=*/1, /*U=*/64);
+  IteratedController ctrl(s.net, s.tree, M, /*W=*/1, /*U=*/64);
   const auto nodes = s.tree.alive_nodes();
   std::uint64_t granted = 0, rejected = 0;
   for (std::uint64_t i = 0; i < 3 * M; ++i) {
@@ -70,7 +70,7 @@ TEST(DistIterated, WZeroExactGrantCount) {
   Sim s;
   workload::build(s.tree, workload::Shape::kPath, 10, rng);
   const std::uint64_t M = 17;
-  DistributedIterated ctrl(s.net, s.tree, M, /*W=*/0, /*U=*/32);
+  IteratedController ctrl(s.net, s.tree, M, /*W=*/0, /*U=*/32);
   const auto nodes = s.tree.alive_nodes();
   std::uint64_t granted = 0;
   for (std::uint64_t i = 0; i < 4 * M; ++i) {
@@ -87,7 +87,7 @@ TEST(DistIterated, ConcurrentRequestsAcrossRotation) {
   Sim s(sim::DelayKind::kUniform, 17);
   workload::build(s.tree, workload::Shape::kRandomAttach, 24, rng);
   const std::uint64_t M = 64;
-  DistributedIterated ctrl(s.net, s.tree, M, /*W=*/1, /*U=*/256);
+  IteratedController ctrl(s.net, s.tree, M, /*W=*/1, /*U=*/256);
   const auto nodes = s.tree.alive_nodes();
   int answered = 0, granted = 0;
   for (int i = 0; i < 200; ++i) {
@@ -107,7 +107,7 @@ TEST(DistTerminating, NeverRejectsTerminatesInBand) {
   Sim s;
   workload::build(s.tree, workload::Shape::kRandomAttach, 12, rng);
   const std::uint64_t M = 24, W = 6;
-  DistributedTerminating ctrl(s.net, s.tree, M, W, /*U=*/64);
+  TerminatingController ctrl(s.net, s.tree, M, W, /*U=*/64);
   const auto nodes = s.tree.alive_nodes();
   std::uint64_t granted = 0;
   for (std::uint64_t i = 0; i < 4 * M; ++i) {
@@ -125,7 +125,7 @@ TEST(DistTerminating, NeverRejectsTerminatesInBand) {
 
 TEST(DistTerminating, ExternalTerminate) {
   Sim s;
-  DistributedTerminating ctrl(s.net, s.tree, 100, 50, 16);
+  TerminatingController ctrl(s.net, s.tree, 100, 50, 16);
   ASSERT_TRUE(
       sync_submit(s, ctrl, RequestSpec{RequestSpec::Type::kEvent, 0})
           .granted());

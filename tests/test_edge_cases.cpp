@@ -6,7 +6,7 @@
 
 #include "core/centralized_controller.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 

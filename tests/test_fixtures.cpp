@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "core/distributed_controller.hpp"
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/trivial_controller.hpp"
 #include "tree/snapshot.hpp"
 #include "tree/validate.hpp"

@@ -6,9 +6,8 @@
 
 #include <cstdlib>
 
-#include "apps/distributed_size_estimation.hpp"
-#include "core/distributed_iterated.hpp"
-#include "core/iterated_controller.hpp"
+#include "apps/size_estimation.hpp"
+#include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -35,7 +34,7 @@ TEST(HeavySoak, DistributedPipelineTenThousandRequests) {
   tree::DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 512, rng);
   const std::uint64_t M = 6000, W = 1;
-  core::DistributedIterated ctrl(net, t, M, W, /*U=*/65536);
+  core::IteratedController ctrl(net, t, M, W, /*U=*/65536);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(5));
   std::uint64_t answered = 0, granted = 0, rejected = 0, moot = 0;
@@ -80,7 +79,7 @@ TEST(HeavySoak, SizeEstimationFourThousandNodes) {
   tree::DynamicTree t;
   workload::build(t, workload::Shape::kRandomAttach, 4096, rng);
   const double beta = 2.0;
-  apps::DistributedSizeEstimation est(net, t, beta);
+  apps::SizeEstimation est(net, t, beta);
   workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath, Rng(11));
   for (int i = 0; i < 6000; ++i) {
     est.submit(churn.next(t), [](const core::Result&) {});

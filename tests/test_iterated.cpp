@@ -6,8 +6,7 @@
 #include <set>
 #include <tuple>
 
-#include "core/iterated_controller.hpp"
-#include "core/terminating_controller.hpp"
+#include "core/iterated.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 

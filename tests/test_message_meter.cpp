@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "core/message_meter.hpp"
 #include "core/trivial_controller.hpp"
 #include "util/rng.hpp"

@@ -12,7 +12,7 @@
 
 #include <tuple>
 
-#include "core/iterated_controller.hpp"
+#include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"

@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "core/distributed_controller.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -113,7 +113,7 @@ TEST_P(IteratedConcurrency, ExactAccounting) {
   DynamicTree t;
   workload::build(t, Shape::kRandomAttach, 20, rng);
   const std::uint64_t M = 48;
-  DistributedIterated ctrl(net, t, M, /*W=*/1, /*U=*/128);
+  IteratedController ctrl(net, t, M, /*W=*/1, /*U=*/128);
   const auto nodes = t.alive_nodes();
   int granted = 0, rejected = 0;
   for (int i = 0; i < 150; ++i) {

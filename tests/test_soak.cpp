@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/distributed_size_estimation.hpp"
-#include "core/distributed_iterated.hpp"
+#include "apps/size_estimation.hpp"
+#include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -32,7 +32,7 @@ TEST_P(Soak, DistributedPipelineLongRun) {
   workload::build(t, workload::Shape::kRandomAttach, 64, rng);
 
   const std::uint64_t M = 1200, W = 1;
-  core::DistributedIterated ctrl(net, t, M, W, /*U=*/8192);
+  core::IteratedController ctrl(net, t, M, W, /*U=*/8192);
   workload::ChurnGenerator churn(workload::ChurnModel::kInternalChurn,
                                  Rng(seed * 7 + 5));
 
@@ -85,7 +85,7 @@ TEST(SoakApps, SizeEstimationSurvivesEverything) {
   tree::DynamicTree t;
   workload::build(t, workload::Shape::kCaterpillar, 96, rng);
   const double beta = 2.0;
-  apps::DistributedSizeEstimation est(net, t, beta);
+  apps::SizeEstimation est(net, t, beta);
   workload::ChurnGenerator churn(workload::ChurnModel::kFlashCrowd, Rng(81));
   for (int burst = 0; burst < 150; ++burst) {
     const std::uint64_t width = rng.uniform(1, 6);

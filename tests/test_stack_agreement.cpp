@@ -11,15 +11,12 @@
 
 #include <optional>
 
-#include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_size_estimation.hpp"
 #include "apps/heavy_child.hpp"
 #include "apps/interval_labeling.hpp"
 #include "apps/name_assignment.hpp"
 #include "apps/nca_labeling.hpp"
 #include "apps/size_estimation.hpp"
-#include "core/distributed_iterated.hpp"
-#include "core/terminating_controller.hpp"
+#include "core/iterated.hpp"
 #include "sync_result.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -51,8 +48,8 @@ struct Pair {
 
   /// Runs one request on both stacks (`submit(app, done)`), drains the
   /// network, and checks the verdicts and the trees agree.
-  template <typename Central, typename Simulated, typename Submit>
-  Result step(Central& c, Simulated& s, Submit submit) {
+  template <typename App, typename Submit>
+  Result step(App& c, App& s, Submit submit) {
     const Result a = sync_result([&](auto done) { submit(c, done); });
     std::optional<Result> b;
     submit(s, [&b](const Result& r) { b = r; });
@@ -70,33 +67,6 @@ struct Pair {
     return a;
   }
 };
-
-/// `spec` on an app over either stack.  (The centralized twins of the
-/// wrappers and of §5.2 answer synchronously.)
-template <typename App>
-void submit_to(App& app, const RequestSpec& spec,
-               const core::DistributedController::Callback& done) {
-  if constexpr (requires { app.submit(spec, done); }) {
-    app.submit(spec, done);
-  } else {
-    switch (spec.type) {
-      case RequestSpec::Type::kEvent:
-        if constexpr (requires { app.request_event(spec.subject); }) {
-          done(app.request_event(spec.subject));
-        }
-        return;
-      case RequestSpec::Type::kAddLeaf:
-        done(app.request_add_leaf(spec.subject));
-        return;
-      case RequestSpec::Type::kAddInternal:
-        done(app.request_add_internal_above(spec.subject));
-        return;
-      case RequestSpec::Type::kRemove:
-        done(app.request_remove(spec.subject));
-        return;
-    }
-  }
-}
 
 /// The next request of a wrapper script: an event at a random node with
 /// probability `event_share`, else the churn model's next change.
@@ -226,16 +196,15 @@ void iterated_agrees(std::uint64_t M, std::uint64_t W, ChurnModel model,
   SCOPED_TRACE(workload::churn_name(model));
   Pair p(40, seed);
   core::IteratedController c(p.central, M, W, kWrapperU);
-  core::DistributedIterated s(p.net, p.simulated, M, W, kWrapperU);
+  core::IteratedController s(p.net, p.simulated, M, W, kWrapperU);
   workload::ChurnGenerator churn(model, Rng(seed + 1));
   Rng rng(seed + 2);
   int rejects_after_done = 0;
   for (int i = 0; i < 12000 && rejects_after_done < 20; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const RequestSpec spec = next_request(p.central, churn, rng, 0.8);
-    const Result r = p.step(c, s, [&](auto& app, auto done) {
-      submit_to(app, spec, done);
-    });
+    const Result r =
+        p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
     EXPECT_EQ(c.permits_granted(), s.permits_granted());
     EXPECT_EQ(c.iterations(), s.iterations());
     EXPECT_EQ(c.done(), s.done());
@@ -267,16 +236,15 @@ TEST(StackAgreement, TerminatingStopsAtTheSameRequest) {
   const std::uint64_t M = 600;
   const std::uint64_t W = 40;
   core::TerminatingController c(p.central, M, W, kWrapperU);
-  core::DistributedTerminating s(p.net, p.simulated, M, W, kWrapperU);
+  core::TerminatingController s(p.net, p.simulated, M, W, kWrapperU);
   workload::ChurnGenerator churn(ChurnModel::kBirthDeath, Rng(15));
   Rng rng(16);
   int terminated_at = -1;
   for (int i = 0; i < 2000 && terminated_at < 0; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const RequestSpec spec = next_request(p.central, churn, rng, 0.8);
-    const Result r = p.step(c, s, [&](auto& app, auto done) {
-      submit_to(app, spec, done);
-    });
+    const Result r =
+        p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
     EXPECT_EQ(c.permits_granted(), s.permits_granted());
     EXPECT_EQ(c.terminated(), s.terminated());
     if (r.outcome == core::Outcome::kTerminated) terminated_at = i;
@@ -293,7 +261,7 @@ void size_estimation_agrees(ChurnModel model, std::uint64_t seed) {
   SCOPED_TRACE(workload::churn_name(model));
   Pair p(40, seed);
   SizeEstimation c(p.central, 2.0);
-  DistributedSizeEstimation s(p.net, p.simulated, 2.0);
+  SizeEstimation s(p.net, p.simulated, 2.0);
   workload::ChurnGenerator churn(model, Rng(seed + 1));
   for (int i = 0; i < 300 && p.central.size() >= 4; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
@@ -318,12 +286,12 @@ void names_agree(ChurnModel model, std::uint64_t seed) {
   SCOPED_TRACE(workload::churn_name(model));
   Pair p(40, seed);
   NameAssignment c(p.central);
-  DistributedNameAssignment s(p.net, p.simulated);
+  NameAssignment s(p.net, p.simulated);
   workload::ChurnGenerator churn(model, Rng(seed + 1));
   for (int i = 0; i < 250 && p.central.size() >= 4; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const RequestSpec spec = churn.next(p.central);
-    p.step(c, s, [&](auto& app, auto done) { submit_to(app, spec, done); });
+    p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
     EXPECT_EQ(c.iterations(), s.iterations());
     for (NodeId v : p.central.alive_nodes()) {
       EXPECT_EQ(c.id_of(v), s.id_of(v)) << "node " << v;

@@ -9,14 +9,14 @@
 
 #include <cstdint>
 
-#include "apps/distributed_name_assignment.hpp"
-#include "apps/distributed_size_estimation.hpp"
 #include "apps/heavy_child.hpp"
 #include "apps/interval_labeling.hpp"
+#include "apps/name_assignment.hpp"
 #include "apps/nca_labeling.hpp"
+#include "apps/size_estimation.hpp"
 #include "core/distributed_adaptive.hpp"
 #include "core/distributed_controller.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "util/log2.hpp"
 #include "util/rng.hpp"
 #include "workload/churn.hpp"
@@ -131,7 +131,7 @@ TEST(WireProtocols, DistributedIteratedUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  core::DistributedIterated ctrl(s.net, s.tree, /*M=*/24, /*W=*/2, u);
+  core::IteratedController ctrl(s.net, s.tree, /*M=*/24, /*W=*/2, u);
   churn_through(s, ctrl, 80, workload::ChurnModel::kBirthDeath, 7);
   expect_wire_discipline(s, u);
   // The budget is small enough that the run must have crossed at least one
@@ -159,7 +159,7 @@ TEST(WireProtocols, SizeEstimationUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 48, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedSizeEstimation est(s.net, s.tree, 2.0);
+  apps::SizeEstimation est(s.net, s.tree, 2.0);
   churn_through(s, est, 80, workload::ChurnModel::kBirthDeath, 13);
   EXPECT_GE(est.iterations(), 1u);
   expect_wire_discipline(s, u);
@@ -171,7 +171,7 @@ TEST(WireProtocols, NameAssignmentUnderStrictEnvelope) {
   workload::build(s.tree, workload::Shape::kRandomAttach, 32, rng);
   const std::uint64_t u = 4096;
   s.net.set_strict_max_bits(envelope_bits(u));
-  apps::DistributedNameAssignment names(s.net, s.tree);
+  apps::NameAssignment names(s.net, s.tree);
   churn_through(s, names, 60, workload::ChurnModel::kBirthDeath, 17);
   expect_wire_discipline(s, u);
 }

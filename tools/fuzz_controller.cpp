@@ -46,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "sim/channel.hpp"
@@ -174,7 +174,7 @@ std::string run_one(const Config& c, obs::Registry& reg,
   }
   net.enable_reliability();
 
-  core::DistributedIterated::Options ctrl_opts;
+  core::IteratedController::Options ctrl_opts;
   ctrl_opts.watchdog = &wd;
   if (crashes != nullptr) {
     ctrl_opts.crashes = crashes.get();
@@ -182,7 +182,7 @@ std::string run_one(const Config& c, obs::Registry& reg,
                                      : agent::Durability::kVolatile;
     ctrl_opts.crash_redrives = static_cast<std::uint32_t>(c.redrives);
   }
-  core::DistributedIterated ctrl(net, t, c.m, c.w, /*U=*/8192, ctrl_opts);
+  core::IteratedController ctrl(net, t, c.m, c.w, /*U=*/8192, ctrl_opts);
   if (crashes != nullptr) crashes->start(c.n0, SimTime{1} << 18);
   workload::ChurnGenerator churn(c.churn, Rng(c.seed * 7 + 3));
 
