@@ -232,7 +232,6 @@ void IteratedController::dispatch(const RequestSpec& spec, Callback done,
             stack_.charge(sim::Message::reject_wave(), tree_.size());
         wave_charged_ = true;
       }
-      ++rejects_;
       stack_.complete(std::move(done), Result{Outcome::kRejected});
       return;
     }
@@ -284,14 +283,12 @@ void IteratedController::dispatch(const RequestSpec& spec, Callback done,
             dispatch(spec, std::move(done), redrives_left - 1);
           }
         } else {
-          if (r.outcome == Outcome::kRejected) {
-            // The terminating transform never rejects, with one carve-out:
-            // a crash-failed request whose redrive budget ran out carries
-            // its flag to the caller.
-            DYNCON_INVARIANT(!terminating_ || r.crash_failed,
-                             "terminating controller must never reject");
-            ++rejects_;
-          }
+          // The terminating transform never rejects, with one carve-out: a
+          // crash-failed request whose redrive budget ran out carries its
+          // flag to the caller.
+          DYNCON_INVARIANT(!terminating_ || r.outcome != Outcome::kRejected ||
+                               r.crash_failed,
+                           "terminating controller must never reject");
           done(r);
         }
         maybe_finish_drain();

@@ -245,10 +245,7 @@ class IteratedController : public IController {
   [[nodiscard]] std::uint64_t messages_used() const { return cost(); }
   [[nodiscard]] std::uint64_t permits_granted() const override;
 
-  [[nodiscard]] std::uint64_t M() const { return m_; }
-  [[nodiscard]] std::uint64_t W() const { return w_; }
   [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
-  [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
   /// True once every future request will be rejected (the pipeline is
   /// spent, or the final iteration has started its reject wave).
   [[nodiscard]] bool done() const {
@@ -313,7 +310,6 @@ class IteratedController : public IController {
   std::vector<std::pair<RequestSpec, Callback>> pending_;
   std::uint64_t cost_base_ = 0;     ///< cost of retired iterations
   std::uint64_t granted_base_ = 0;  ///< grants of retired iterations
-  std::uint64_t rejects_ = 0;
   bool wave_charged_ = false;
 };
 

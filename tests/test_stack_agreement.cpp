@@ -37,6 +37,7 @@ struct Pair {
   sim::Network net;
   DynamicTree simulated;
   int granted = 0;  ///< lets a test reject a vacuous script
+  Result last;      ///< the latest step's verdict
 
   Pair(std::uint64_t n, std::uint64_t seed)
       : net(queue, sim::make_delay(sim::DelayKind::kFixed, 1)) {
@@ -49,22 +50,20 @@ struct Pair {
   /// Runs one request on both stacks (`submit(app, done)`), drains the
   /// network, and checks the verdicts and the trees agree.
   template <typename App, typename Submit>
-  Result step(App& c, App& s, Submit submit) {
+  void step(App& c, App& s, Submit submit) {
     const Result a = sync_result([&](auto done) { submit(c, done); });
+    last = a;
     std::optional<Result> b;
     submit(s, [&b](const Result& r) { b = r; });
     queue.run();
-    EXPECT_TRUE(b.has_value()) << "request still pending after the drain";
-    if (!b) return a;
+    ASSERT_TRUE(b.has_value()) << "request still pending after the drain";
     EXPECT_EQ(a.outcome, b->outcome);
     EXPECT_EQ(a.new_node, b->new_node);
     granted += a.granted();
-    EXPECT_EQ(central.alive_nodes(), simulated.alive_nodes());
-    if (central.alive_nodes() != simulated.alive_nodes()) return a;
+    ASSERT_EQ(central.alive_nodes(), simulated.alive_nodes());
     for (NodeId v : central.alive_nodes()) {
-      EXPECT_EQ(central.parent(v), simulated.parent(v)) << "node " << v;
+      ASSERT_EQ(central.parent(v), simulated.parent(v)) << "node " << v;
     }
-    return a;
   }
 };
 
@@ -203,12 +202,11 @@ void iterated_agrees(std::uint64_t M, std::uint64_t W, ChurnModel model,
   for (int i = 0; i < 12000 && rejects_after_done < 20; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const RequestSpec spec = next_request(p.central, churn, rng, 0.8);
-    const Result r =
-        p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
+    p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
     EXPECT_EQ(c.permits_granted(), s.permits_granted());
     EXPECT_EQ(c.iterations(), s.iterations());
     EXPECT_EQ(c.done(), s.done());
-    if (c.done() && r.outcome == core::Outcome::kRejected) {
+    if (c.done() && p.last.outcome == core::Outcome::kRejected) {
       ++rejects_after_done;
     }
     if (::testing::Test::HasFailure()) return;
@@ -243,11 +241,10 @@ TEST(StackAgreement, TerminatingStopsAtTheSameRequest) {
   for (int i = 0; i < 2000 && terminated_at < 0; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     const RequestSpec spec = next_request(p.central, churn, rng, 0.8);
-    const Result r =
-        p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
+    p.step(c, s, [&](auto& app, auto done) { app.submit(spec, done); });
     EXPECT_EQ(c.permits_granted(), s.permits_granted());
     EXPECT_EQ(c.terminated(), s.terminated());
-    if (r.outcome == core::Outcome::kTerminated) terminated_at = i;
+    if (p.last.outcome == core::Outcome::kTerminated) terminated_at = i;
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(terminated_at, 0);
