@@ -396,7 +396,7 @@ void IteratedController::terminate(std::function<void()> on_done) {
 void IteratedController::submit(const RequestSpec& spec, Callback done) {
   DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
   if (options_.watchdog != nullptr) {
-    // Static label + stored origin keep arming allocation-free (PR 4).
+    // Static label + stored origin keep arming allocation-free.
     const sim::Watchdog::Token token =
         options_.watchdog->arm(spec.subject, request_type_name(spec.type));
     done = [wd = options_.watchdog, token,

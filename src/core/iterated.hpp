@@ -115,6 +115,7 @@ class Stack {
       fn();
     }
   }
+  /// post() delivering `r` to `done`.
   void complete(Callback done, Result r);
 
   /// Run `fn` once the calls now running through this stack have
@@ -172,6 +173,7 @@ class Stack {
   std::unique_ptr<agent::Convergecast> cast_;
 };
 
+/// Observation 3.4 / Theorem 4.7: the iterated (M,W)-controller.
 class IteratedController : public IController {
  public:
   using Callback = BaseController::Callback;
