@@ -53,7 +53,8 @@ Result CentralizedController::request_remove(NodeId v) {
   return handle(v, EventSpec{EventSpec::Type::kRemove, v});
 }
 
-void CentralizedController::submit(const RequestSpec& spec, Callback done) {
+void CentralizedController::submit(const RequestSpec& spec,
+                                   BaseController::Callback done) {
   DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
   switch (spec.type) {
     case RequestSpec::Type::kEvent:

@@ -40,8 +40,7 @@
 
 namespace dyncon::core {
 
-class CentralizedController final : public IController,
-                                    public BaseController {
+class CentralizedController final : public IController {
  public:
   enum class Mode : std::uint8_t {
     kRejectWave,     ///< paper default: broadcast rejects on exhaustion
@@ -80,23 +79,24 @@ class CentralizedController final : public IController,
     return granted_;
   }
 
-  /// BaseController: `done` fires with the verdict before submit returns.
-  void submit(const RequestSpec& spec, Callback done) override;
+  /// The asynchronous form of the request_* calls: `done` fires with the
+  /// verdict before submit returns.
+  void submit(const RequestSpec& spec, BaseController::Callback done);
 
   // Introspection.
-  [[nodiscard]] const Params& params() const override { return params_; }
+  [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] std::uint64_t root_storage() const { return storage_; }
   [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
-  [[nodiscard]] bool reject_wave_started() const override { return wave_; }
+  [[nodiscard]] bool reject_wave_started() const { return wave_; }
   [[nodiscard]] bool exhausted() const { return exhausted_; }
   [[nodiscard]] const PackageTable& packages() const { return packages_; }
-  [[nodiscard]] const DomainTracker* domains() const override {
+  [[nodiscard]] const DomainTracker* domains() const {
     return domains_.get();
   }
 
   /// Unused permits currently in packages plus the root storage (the L of
   /// Obs. 3.4's iteration step).
-  [[nodiscard]] std::uint64_t unused_permits() const override;
+  [[nodiscard]] std::uint64_t unused_permits() const;
 
   /// Remaining serial numbers (root storage interval), if tracked.
   [[nodiscard]] const Interval& storage_serials() const {

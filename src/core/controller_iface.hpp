@@ -125,7 +125,7 @@ class IController {
   [[nodiscard]] virtual std::uint64_t permits_granted() const = 0;
 };
 
-/// The asynchronous (M,W)-controller both base controllers implement: §3's
+/// The asynchronous (M,W)-controller both base controllers present: §3's
 /// centralized one answers before submit returns, §4's distributed one
 /// from the event loop.  By Lemma 4.3 the two are one protocol, so the
 /// iteration and termination wrappers are written once against this.

@@ -10,6 +10,39 @@
 
 namespace dyncon::core {
 
+namespace {
+
+/// §3's controller as a BaseController.  An adapter rather than a second
+/// base class keeps CentralizedController, which the forest holds once per
+/// resident tree, at one vtable pointer.
+class CentralizedBase final : public BaseController {
+ public:
+  CentralizedBase(tree::DynamicTree& tree, const Params& params,
+                  CentralizedController::Options options)
+      : ctrl_(tree, params, std::move(options)) {}
+
+  void submit(const RequestSpec& spec, Callback done) override {
+    ctrl_.submit(spec, std::move(done));
+  }
+  std::uint64_t cost() const override { return ctrl_.cost(); }
+  std::uint64_t permits_granted() const override {
+    return ctrl_.permits_granted();
+  }
+  std::uint64_t unused_permits() const override {
+    return ctrl_.unused_permits();
+  }
+  const Params& params() const override { return ctrl_.params(); }
+  bool reject_wave_started() const override {
+    return ctrl_.reject_wave_started();
+  }
+  const DomainTracker* domains() const override { return ctrl_.domains(); }
+
+ private:
+  CentralizedController ctrl_;
+};
+
+}  // namespace
+
 // ---- Stack -----------------------------------------------------------------
 
 Stack::Stack(sim::Network* net) : net_(net) {}
@@ -154,8 +187,7 @@ std::unique_ptr<BaseController> IteratedController::make_base(
     opts.track_domains = options_.track_domains;
     opts.serials = serials;
     opts.on_pass_down = options_.on_pass_down;
-    return std::make_unique<CentralizedController>(tree_, params,
-                                                   std::move(opts));
+    return std::make_unique<CentralizedBase>(tree_, params, std::move(opts));
   }
   DistributedController::Options opts;
   opts.mode = signal_exhaustion ? DistributedController::Mode::kExhaustSignal
