@@ -1,10 +1,11 @@
 // EXP19 — forest runtime scaling: aggregate requests/sec vs shard count,
-// plus the memory model that lets one engine host a million trees.
+// plus the memory model that lets one engine host a million trees, plus
+// the parallel run engine's scaling.
 //
 // One ForestEngine run serves a fixed closed-loop workload (a large Zipf-
 // skewed user population multiplexed over many controller-managed trees);
 // the sweep re-runs it at increasing --shards and reports aggregate
-// throughput.  Four claims are checked:
+// throughput.  Five claims are checked:
 //
 //   determinism   the registry JSON (every counter + histogram) and the
 //                 engine's shard-invariant stats are byte-identical at
@@ -14,14 +15,14 @@
 //                 budget: hibernation may only change wall-clock time too.
 //   scaling       requests/sec grows with shards, reported as
 //                 perf.forest.speedup.sN.  The 2x-at-4-shards bar is
-//                 gated in one place, tools/check_bench.py
-//                 --forest-speedup-min; the binary reports any speedup and
-//                 always runs every later phase, so a slow run's report
-//                 stays complete.  Where the time went is published beside
-//                 it: perf.forest.serial_share.sN (engine time outside the
-//                 shard fork, over all window time — the Amdahl serial
-//                 fraction) and perf.forest.shard_idle_share.sN (forked
-//                 time shards spent waiting on the slowest one).
+//                 gated in one place, CI's tools/check_report.py bound
+//                 'perf.forest.speedup.s4>=2.0'; the binary reports any
+//                 speedup and always runs every later phase, so a slow
+//                 run's report stays complete.  Where the time went is
+//                 published beside it: perf.forest.serial_share.sN (engine
+//                 time outside the shard fork, over all window time — the
+//                 Amdahl serial fraction) and perf.forest.shard_idle_share.sN
+//                 (forked time shards spent waiting on the slowest one).
 //   allocation    the steady-state shard loop allocates ~0 per event: the
 //                 echo-service phase (engine machinery only, shards=1 so
 //                 the loop runs inline with no pool, --eager so one-time
@@ -32,12 +33,19 @@
 //                 build against the lazy engine at the same scale and
 //                 publishes perf.forest.bytes_per_tree / mem_reduction /
 //                 startup_ratio plus the perf.mem.* gauges (RSS, arena,
-//                 images, index).  tools/check_bench.py gates these in the
-//                 CI scale cell (--forest-mem-reduction-min and friends).
+//                 images, index).  CI bounds these with check_report.py
+//                 terms in the scale cell ('perf.forest.mem_reduction>=10'
+//                 and friends).
+//   run engine    the same batch of 8 independent distributed-controller
+//                 runs through util::parallel_for_runs at jobs = 1/2/4/8
+//                 must fire the same events and sends at every jobs value
+//                 (divergence aborts the binary); events/sec per jobs value
+//                 is published as perf.parallel.events_per_sec_jN and
+//                 perf.parallel.speedup_j4.
 //
-// perf.forest.* and perf.mem.* gauges are machine-local (wall-clock and
-// allocator derived), like perf.parallel.*: tools/check_bench.py skips them
-// in cross-machine diffs and gates them separately.
+// perf.forest.*, perf.mem.* and perf.parallel.* gauges are machine-local
+// (wall-clock and allocator derived): check_report.py checks their
+// internal consistency, and CI bounds a few of them within one report.
 //
 //   --shards=N          cap the sweep's largest shard count (default 8)
 //   --trees=N           forest size (default 64; the million-tree recipe in
@@ -46,7 +54,7 @@
 //   --resident-trees=N  per-shard resident budget for the sweep + memory
 //                       phase (default 0 = unlimited)
 //   --jobs              accepted for uniformity; the forest pins workers =
-//                       shards
+//                       shards, and the run-engine phase sweeps jobs itself
 
 #include <atomic>
 #include <chrono>
@@ -57,11 +65,14 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/distributed_controller.hpp"
 #include "forest/forest.hpp"
 #include "obs/meminfo.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
+#include "workload/shapes.hpp"
 
-// ---- operator-new counter (same instrument as perf_suite) -------------------
+// ---- operator-new counter ---------------------------------------------------
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -152,6 +163,91 @@ bool stats_match(const forest::ForestStats& a, const forest::ForestStats& b) {
          a.rejected == b.rejected && a.other == b.other &&
          a.events == b.events && a.windows == b.windows &&
          a.handoffs == b.handoffs;
+}
+
+// ---- run-engine scaling -----------------------------------------------------
+//
+// The same batch of independent seeded mini-runs (distributed controller,
+// open-loop arrivals) executed through util::parallel_for_runs at growing
+// worker counts.  Each run owns its queue/network/tree — shared-nothing —
+// so events/sec should scale with workers up to the core count.  The
+// per-run event totals are summed and compared across batches: a mismatch
+// means scheduling leaked into the simulation.  Each run records into a
+// registry of its own that is then dropped (the pool's caller runs some
+// of the runs itself), so the report gains only the perf.parallel.*
+// family.
+
+/// One churn-or-event proposal: 50/50 events and leaf-adds, subjects drawn
+/// from the *initial* node set (grow-only churn keeps them alive forever).
+/// Deliberately O(1) — workload::random_node's alive_nodes() scan is O(n)
+/// and would dominate the measurement.
+core::RequestSpec propose(const std::vector<NodeId>& subjects, Rng& rng) {
+  const NodeId v = subjects[rng.index(subjects.size())];
+  return {rng.chance(0.5) ? core::RequestSpec::Type::kEvent
+                          : core::RequestSpec::Type::kAddLeaf,
+          v};
+}
+
+struct Batch {
+  std::uint64_t events = 0;
+  std::uint64_t sends = 0;
+  double secs = 0;
+
+  [[nodiscard]] double events_per_sec() const {
+    return secs > 0 ? static_cast<double>(events) / secs : 0.0;
+  }
+};
+
+Batch run_batch(unsigned jobs, std::uint64_t runs, std::uint64_t n,
+                std::uint64_t steps) {
+  std::vector<std::uint64_t> events(runs, 0);
+  std::vector<std::uint64_t> sends(runs, 0);
+  const auto t0 = Clock::now();
+  util::parallel_for_runs(
+      runs, jobs, /*base_seed=*/97,
+      [&](std::uint64_t idx, Rng rng) {
+        obs::Registry reg;
+        obs::ScopedMetrics scope(reg);
+        sim::EventQueue queue;
+        sim::Network net(queue,
+                         sim::make_delay(sim::DelayKind::kFixed, 1));
+        tree::DynamicTree t;
+        workload::build(t, workload::Shape::kRandomAttach, n, rng);
+        core::DistributedController::Options opts;
+        opts.track_domains = false;
+        core::DistributedController ctrl(
+            net, t, core::Params(steps, steps / 5, 4 * n + 4 * steps),
+            opts);
+        const std::vector<NodeId> subjects = t.alive_nodes();
+        std::uint64_t answered = 0;
+        SimTime when = 0;
+        struct Ctx {
+          core::DistributedController& ctrl;
+          const std::vector<NodeId>& subjects;
+          Rng& mix;
+          std::uint64_t& answered;
+        } ctx{ctrl, subjects, rng, answered};
+        for (std::uint64_t i = 0; i < steps; ++i) {
+          when += 1 + rng.uniform(0, 2);
+          queue.schedule_at(when, [&ctx] {
+            ctx.ctrl.submit(propose(ctx.subjects, ctx.mix),
+                            [&ctx](const core::Result&) {
+                              ++ctx.answered;
+                            });
+          });
+        }
+        queue.run();
+        if (answered != steps) std::abort();
+        events[idx] = queue.events_fired();
+        sends[idx] = net.stats().messages;
+      });
+  Batch b;
+  b.secs = std::chrono::duration<double>(Clock::now() - t0).count();
+  for (std::uint64_t i = 0; i < runs; ++i) {
+    b.events += events[i];
+    b.sends += sends[i];
+  }
+  return b;
 }
 
 }  // namespace
@@ -387,6 +483,50 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(st.events),
         static_cast<unsigned long long>(allocs), per_event,
         static_cast<double>(st.events) / secs / 1e3);
+  }
+
+  bench::subhead("run-engine scaling (8 independent runs per batch)");
+  {
+    // One batch per jobs value; on a single hardware thread the speedup
+    // column simply reads ~1.0.
+    const std::uint64_t runs = 8;
+    std::vector<Batch> batches;
+    bench::Table table({"jobs", "events", "events/s", "speedup vs j1",
+                        "secs"});
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+      const Batch b = run_batch(jobs, runs, 256, 12'500);
+      if (!batches.empty() && (b.events != batches.front().events ||
+                               b.sends != batches.front().sends)) {
+        std::fprintf(stderr,
+                     "FATAL: run-engine batch at jobs=%u diverged from "
+                     "jobs=1 (events %llu vs %llu)\n",
+                     jobs, static_cast<unsigned long long>(b.events),
+                     static_cast<unsigned long long>(
+                         batches.front().events));
+        return 1;
+      }
+      table.row({bench::num(jobs), bench::num(b.events),
+                 bench::fp(b.events_per_sec(), 0),
+                 bench::fp(batches.empty()
+                               ? 1.0
+                               : b.events_per_sec() /
+                                     batches.front().events_per_sec(),
+                           2),
+                 bench::fp(b.secs, 3)});
+      batches.push_back(b);
+    }
+    table.print();
+    obs::Registry& r = run.registry();
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      r.set_gauge("perf.parallel.events_per_sec_j" + std::to_string(1u << i),
+                  batches[i].events_per_sec());
+    }
+    r.set_gauge("perf.parallel.speedup_j4",
+                batches[2].events_per_sec() / batches[0].events_per_sec());
+    r.set_gauge("perf.parallel.hw_threads", static_cast<double>(hw));
+    r.set("perf.parallel.events", batches.front().events);
+    r.set("perf.parallel.runs",
+          runs * static_cast<std::uint64_t>(batches.size()));
   }
 
   std::puts("");

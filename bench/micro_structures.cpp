@@ -33,7 +33,7 @@
 #include "workload/request_mux.hpp"
 #include "workload/shapes.hpp"
 
-// Global allocation counter (same technique as bench/perf_suite.cpp): count
+// Global allocation counter (same technique as exp19_forest_scaling): count
 // every operator-new so the zero-allocation claims below are measured, not
 // asserted from reading the code.
 namespace {
@@ -506,9 +506,10 @@ void BM_CentralizedRequest(benchmark::State& state) {
   workload::build(t, workload::Shape::kRandomAttach, n, rng);
   core::CentralizedController::Options opts;
   opts.track_domains = false;
-  // Effectively unbounded M so the loop never exhausts.
-  core::CentralizedController ctrl(t, core::Params(1u << 30, 1u << 29, 2 * n),
-                                   opts);
+  // Effectively unbounded M so the loop never exhausts; U sized for a
+  // replay of 2,000,000 requests (4n + 2M).
+  core::CentralizedController ctrl(
+      t, core::Params(1u << 30, 1u << 29, 4 * n + 2'000'000), opts);
   const auto nodes = t.alive_nodes();
   std::size_t i = 0;
   for (auto _ : state) {

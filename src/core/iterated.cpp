@@ -298,6 +298,12 @@ void IteratedController::dispatch(const RequestSpec& spec, Callback done,
         pending_.emplace_back(spec, std::move(done));
         return;
       }
+      if (!tree_.alive(spec.subject)) {
+        // A replayed request whose subject died while it was pending.
+        DYNCON_REQUIRE(stack_.net() != nullptr, "request subject not alive");
+        stack_.complete(std::move(done), Result{Outcome::kMoot});
+        return;
+      }
       ++inflight_;
       inner_->submit(spec, [this, spec, redrives_left,
                             done = std::move(done)](const Result& r) mutable {

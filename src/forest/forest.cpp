@@ -18,6 +18,10 @@ namespace {
 constexpr std::uint64_t kTreeSalt = 0x7472656573616c74ULL;   // "treesalt"
 constexpr std::uint64_t kShardSalt = 0x73686472646e6773ULL;  // "shdrdngs"
 
+// Base service latency of every request, before its 0..3 ticks of
+// per-tree jitter.
+constexpr SimTime kServiceDelay = 1;
+
 bool ready_order(const workload::MuxRequest& a,
                  const workload::MuxRequest& b) {
   return a.ready != b.ready ? a.ready < b.ready : a.user < b.user;
@@ -475,7 +479,7 @@ void ForestEngine::serve(std::uint64_t user, std::uint32_t tree,
   // draws, so it too is shard-count invariant), then a completion event
   // that hands the response back at the next barrier.  The jitter draw
   // happens before a destroy releases the tree's state.
-  const SimTime delay = cfg_.service_delay + (lt.rng.next() & 3);
+  const SimTime delay = kServiceDelay + (lt.rng.next() & 3);
   if (destroyed) destroy_tree(tree, sh);
   sh.queue.schedule_after(delay, [this, user, tree] {
     complete(user, tree);

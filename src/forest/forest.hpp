@@ -111,9 +111,6 @@ struct ForestConfig {
   /// Materialize every tree at construction (the pre-lazy behavior).  Used
   /// by benches/tests to price laziness; semantics are identical.
   bool eager = false;
-  /// Base service latency added to every request (plus 0..3 per-tree
-  /// jitter ticks).
-  SimTime service_delay = 1;
   /// Per-shard span-ring capacity (used only when spans are enabled — a
   /// SpanSink installed on the constructing thread; see the ctor).
   std::size_t span_capacity = std::size_t{1} << 15;

@@ -4,9 +4,9 @@
 // peak resident set size, straight from the kernel's per-process counters.
 // These are the one class of perf figures that CANNOT be deterministic —
 // they measure the allocator and the machine, not the simulation — so
-// report emitters publish them as gauges only (check_bench excludes gauge
-// families from baseline comparison) and check_report checks consistency
-// (peak >= current), never absolute values.
+// report emitters publish them as gauges only (no gate compares them
+// across hosts) and check_report checks consistency (peak >= current),
+// never absolute values.
 
 #include <cstdint>
 

@@ -284,8 +284,8 @@ void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
       return;
     }
   }
-  // Plain head of a (potential) fresh batch: scheduled exactly as a
-  // --no-batch run would — the dominant never-coalesced case pays only the
+  // Plain head of a (potential) fresh batch: scheduled exactly as an
+  // unbatched run would — the dominant never-coalesced case pays only the
   // open-batch bookkeeping below.
   const std::uint32_t head_slot = queue_.schedule_after(delay, std::move(cont));
   open_.active = true;

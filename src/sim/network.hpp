@@ -179,7 +179,7 @@ class Network {
   /// between, merge into one queue event (up to 16 deliveries).
   /// ON by default — coalescing is exact: per-message accounting, fault
   /// draws, delay draws, and the (when, seq) firing order are all
-  /// unchanged, so a batched run is byte-identical to a --no-batch run.
+  /// unchanged, so a batched run is byte-identical to an unbatched one.
   void set_batching(bool on) { batching_ = on; }
   [[nodiscard]] bool batching() const { return batching_; }
   /// Coalesced events fired (each merged >= 2 deliveries); tests read it to
@@ -214,7 +214,7 @@ class Network {
 
   /// The one batch currently accepting appends (at most one: adjacency is
   /// what makes coalescing order-exact).  A batch opens LAZILY: the head
-  /// delivery is scheduled plain — exactly the --no-batch path — and only
+  /// delivery is scheduled plain — exactly the unbatched path — and only
   /// a second coalescible send upgrades the pending queue entry into a
   /// batch dispatch (EventQueue::replace_action).  The dominant n==1 case
   /// therefore pays a few stores here and nothing else.

@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
+#include "sim/watchdog.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 
@@ -118,18 +119,34 @@ INSTANTIATE_TEST_SUITE_P(AllDelayKinds, BatchFifo,
 namespace dyncon::core {
 namespace {
 
+/// The loads the identity sweep drives.
+enum class Load {
+  /// An async request flood on a mixed tree: overlapping events at shared
+  /// ancestors force waiter queues, so unlock waves release multiple agents
+  /// back to back — the traffic inline grant resumes act on.
+  kFlood,
+  /// Open-loop event and leaf-add churn on fixed 1-tick links under a
+  /// scarce budget (W = M/5), so permits keep migrating: inline grant
+  /// resumes act here.
+  kOpenLoop,
+  /// Chaos faults under the reliable channel and a watchdog, on uniform
+  /// delays: same-edge coalescing acts here.
+  kChaos,
+};
+
+constexpr const char* kLoadNames[] = {"flood", "open-loop", "chaos"};
+
 struct DistRun {
   std::string registry_json;
+  sim::NetStats net;
   std::uint64_t messages = 0;
   std::uint64_t events = 0;
+  std::uint64_t pops = 0;  ///< sum of EventQueue::run's return values
+  std::uint64_t frames = 0;
   std::uint64_t granted = 0;
 };
 
-/// An async request flood on a mixed tree: overlapping events at shared
-/// ancestors force waiter queues, so unlock waves release multiple agents
-/// back to back — the traffic both vectorized grants and same-edge
-/// coalescing act on.
-DistRun run_distributed(std::uint64_t seed, bool batch_grants,
+DistRun run_distributed(Load load, std::uint64_t seed, bool batch_grants,
                         bool net_batching) {
   obs::Registry reg;
   DistRun out;
@@ -137,45 +154,99 @@ DistRun run_distributed(std::uint64_t seed, bool batch_grants,
     obs::ScopedMetrics scope(reg);
     Rng rng(seed);
     sim::EventQueue queue;
-    sim::Network net(queue, sim::make_delay(sim::DelayKind::kUniform, 17));
+    sim::Network net(queue,
+                     load == Load::kOpenLoop
+                         ? sim::make_delay(sim::DelayKind::kFixed, 1)
+                         : sim::make_delay(sim::DelayKind::kUniform, 17));
     net.set_batching(net_batching);
-    tree::DynamicTree t;
-    workload::build(t, workload::Shape::kRandomAttach, 48, rng);
+    sim::Watchdog wd(queue, 2'000'000);
     DistributedController::Options opts;
     opts.batch_grants = batch_grants;
-    DistributedController ctrl(net, t, Params(1u << 16, 1u << 15, 4096),
-                               opts);
-    const auto nodes = t.alive_nodes();
-    for (int wave = 0; wave < 6; ++wave) {
-      for (int i = 0; i < 24; ++i) {
-        const NodeId u = nodes[rng.uniform(0, nodes.size() - 1)];
-        ctrl.submit_event(u, [&out](const Result& r) {
-          out.granted += r.granted() ? 1 : 0;
+    tree::DynamicTree t;
+    const auto granted = [&out](const Result& r) {
+      out.granted += r.granted() ? 1 : 0;
+    };
+    if (load == Load::kFlood) {
+      workload::build(t, workload::Shape::kRandomAttach, 48, rng);
+      DistributedController ctrl(net, t, Params(1u << 16, 1u << 15, 4096),
+                                 opts);
+      const auto nodes = t.alive_nodes();
+      for (int wave = 0; wave < 6; ++wave) {
+        for (int i = 0; i < 24; ++i) {
+          const NodeId u = nodes[rng.uniform(0, nodes.size() - 1)];
+          ctrl.submit_event(u, granted);
+        }
+        out.pops += queue.run();
+      }
+      out.messages = ctrl.messages_used();
+    } else {
+      const bool chaos = load == Load::kChaos;
+      const std::uint64_t n = chaos ? 96 : 256;
+      const std::uint64_t requests = chaos ? 2000 : 4000;
+      if (chaos) {
+        net.set_fault_policy(sim::make_fault(sim::FaultKind::kChaos, seed));
+        net.enable_reliability();
+        opts.watchdog = &wd;
+      }
+      workload::build(t, workload::Shape::kRandomAttach, n, rng);
+      // Chaos keeps an effectively infinite budget: a scarce one under
+      // faults cannot promise liveness, and the watchdog would fire.
+      const Params params =
+          chaos ? Params(1u << 30, 1u << 29, 4 * n + 4 * requests)
+                : Params(requests, requests / 5, 4 * n + 4 * requests);
+      DistributedController ctrl(net, t, params, opts);
+      // Every arrival is scheduled up front; subjects come from the
+      // initial nodes, which grow-only churn keeps alive.
+      const std::vector<NodeId> subjects = t.alive_nodes();
+      SimTime when = 0;
+      for (std::uint64_t i = 0; i < requests; ++i) {
+        when += 1 + rng.uniform(0, chaos ? 6 : 2);
+        queue.schedule_at(when, [&ctrl, &subjects, &rng, &granted] {
+          const NodeId v = subjects[rng.index(subjects.size())];
+          ctrl.submit({rng.chance(0.5) ? RequestSpec::Type::kEvent
+                                       : RequestSpec::Type::kAddLeaf,
+                       v},
+                      granted);
         });
       }
-      queue.run();
+      out.pops += queue.run();
+      if (chaos) wd.verify_idle();
+      out.messages = ctrl.messages_used();
     }
-    out.messages = ctrl.messages_used();
+    out.net = net.stats();
     out.events = queue.events_fired();
+    out.frames = net.batch_frames();
   }
   out.registry_json = reg.to_json().dump();
   return out;
 }
 
 TEST(BatchedGrants, BitIdenticalToUnbatchedOnSeedSweep) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const DistRun base = run_distributed(seed, false, false);
-    ASSERT_GT(base.granted, 0u);
-    for (const bool grants : {false, true}) {
-      for (const bool batching : {false, true}) {
-        if (!grants && !batching) continue;
-        const DistRun r = run_distributed(seed, grants, batching);
-        EXPECT_EQ(r.registry_json, base.registry_json)
-            << "seed=" << seed << " grants=" << grants
-            << " batching=" << batching;
-        EXPECT_EQ(r.messages, base.messages) << "seed=" << seed;
-        EXPECT_EQ(r.events, base.events) << "seed=" << seed;
-        EXPECT_EQ(r.granted, base.granted) << "seed=" << seed;
+  for (const Load load : {Load::kFlood, Load::kOpenLoop, Load::kChaos}) {
+    SCOPED_TRACE(kLoadNames[static_cast<int>(load)]);
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      const DistRun base = run_distributed(load, seed, false, false);
+      ASSERT_GT(base.granted, 0u);
+      EXPECT_EQ(base.pops, base.events) << "seed=" << seed;
+      for (const bool grants : {false, true}) {
+        for (const bool batching : {false, true}) {
+          if (!grants && !batching) continue;
+          const DistRun r = run_distributed(load, seed, grants, batching);
+          EXPECT_EQ(r.registry_json, base.registry_json)
+              << "seed=" << seed << " grants=" << grants
+              << " batching=" << batching;
+          EXPECT_EQ(r.net, base.net) << "seed=" << seed;
+          EXPECT_EQ(r.messages, base.messages) << "seed=" << seed;
+          EXPECT_EQ(r.events, base.events) << "seed=" << seed;
+          EXPECT_EQ(r.granted, base.granted) << "seed=" << seed;
+          // Neither input is vacuous: its mechanism acts on the batched run.
+          if (grants && batching && load == Load::kOpenLoop) {
+            EXPECT_LT(r.pops, r.events) << "seed=" << seed;
+          }
+          if (batching && load == Load::kChaos) {
+            EXPECT_GT(r.frames, 0u) << "seed=" << seed;
+          }
+        }
       }
     }
   }

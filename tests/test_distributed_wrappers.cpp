@@ -9,6 +9,7 @@
 #include "core/iterated.hpp"
 #include "tree/validate.hpp"
 #include "util/rng.hpp"
+#include "workload/churn.hpp"
 #include "workload/shapes.hpp"
 
 namespace dyncon::core {
@@ -100,6 +101,41 @@ TEST(DistIterated, ConcurrentRequestsAcrossRotation) {
   EXPECT_EQ(answered, 200);
   EXPECT_GE(granted, static_cast<int>(M - 1));
   EXPECT_LE(granted, static_cast<int>(M));
+}
+
+TEST(DistIterated, ReplayedRequestWithDeadSubjectIsMoot) {
+  // Bursts of events and birth-death churn: on these seeds a request
+  // queued while an iteration drained has its subject removed by an
+  // in-flight grant before the rotation replays it.
+  for (const std::uint64_t seed : {89ull, 209ull}) {
+    Rng rng(seed);
+    Sim s(sim::DelayKind::kUniform, seed);
+    workload::build(s.tree, workload::Shape::kRandomAttach, 60, rng);
+    const std::uint64_t M = 1500;
+    IteratedController ctrl(s.net, s.tree, M, /*W=*/1, /*U=*/64);
+    workload::ChurnGenerator churn(workload::ChurnModel::kBirthDeath,
+                                   Rng(seed + 1000));
+    std::uint64_t submitted = 0, answered = 0, granted = 0, moot = 0;
+    for (int round = 0; round < 60; ++round) {
+      for (int i = 0; i < 30; ++i) {
+        const RequestSpec spec =
+            rng.chance(0.5)
+                ? RequestSpec{RequestSpec::Type::kEvent,
+                              workload::random_node(s.tree, rng)}
+                : churn.next(s.tree);
+        ++submitted;
+        ctrl.submit(spec, [&](const Result& r) {
+          ++answered;
+          granted += r.granted();
+          moot += r.outcome == Outcome::kMoot;
+        });
+      }
+      ASSERT_NO_THROW(s.queue.run()) << "seed=" << seed;
+    }
+    EXPECT_EQ(answered, submitted) << "seed=" << seed;
+    EXPECT_LE(granted, M) << "seed=" << seed;
+    EXPECT_GT(moot, 0u) << "seed=" << seed;
+  }
 }
 
 TEST(DistTerminating, NeverRejectsTerminatesInBand) {

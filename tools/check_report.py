@@ -1,36 +1,50 @@
 #!/usr/bin/env python3
 """Validate a run-report JSON written via --metrics-out.
 
-usage: check_report.py <report.json> [counter ...]
+usage: check_report.py <report.json> [TERM ...]
 
-Checks the fixed schema (every key of obs::RunReport is always present) and,
-for each counter named on the command line, that it exists and is nonzero.
+Checks the fixed schema (every key of obs::RunReport is always present).
+Each TERM is one of
+
+  NAME        counter NAME exists and is nonzero
+  NAME=V      counter or gauge NAME equals V
+  NAME<=V     counter or gauge NAME is at most V
+  NAME>=V     counter or gauge NAME is at least V
+
+A bound on a ``*speedup*`` gauge applies only when its family's
+``hw_threads`` gauge (``perf.forest.hw_threads`` for
+``perf.forest.speedup.s4``) reads at least 4: a speedup target means
+nothing on fewer cores than workers.  Every bound prints its value, and
+the run fails after all of them were checked if any was violated.
+
 Also cross-validates the fault/reliability metric families whenever they
 appear (a report must not claim retransmissions on a loss-free transport,
 nor more watchdog completions than arms), the crash.* / recovery.* families
 written by the crash/restart adversary (restarts bounded by crashes, journal
 replays by restarts, surfaced failures by killed agents — plus exp21's
-per-point permit accounting), the perf.* family written by
-bench/perf_suite (rates positive, percentiles ordered, per-phase event
-counts summing to the total), the perf.parallel.* scaling family (speedup
-gauge consistent with the per-jobs throughputs), the forest.* /
-perf.forest.* family written by the sharded forest runtime and
-bench/exp19_forest_scaling (outcome and op-mix counters partitioning the
-request total, speedups consistent with the per-shard-count rates, serial
-and shard-idle shares within [0, 1]), and —
-when the exp17
-per-rate gauges are present — that the measured reliability overhead is
-monotone in the drop rate.  The causal-observability sections added with
-the span subsystem are validated too: req.latency.* histogram counts must
-partition forest.requests.total with ordered percentile gauges, the
-"timeline" flight-recorder section must hold well-formed monotone rows, and
-the "spans" section must be internally consistent (conserved ring counts,
-non-negative durations, resolvable parents).  Exits nonzero with a message
-on the first violation; prints a one-line summary on success.  Used by the
-CI metrics-smoke and chaos-smoke jobs.
+per-point permit accounting), the perf.* values (non-negative), the
+perf.parallel.* run-engine family written by
+bench/exp19_forest_scaling (speedup gauge consistent with the per-jobs
+throughputs, no jobs value up to the host's hardware threads below 0.4x
+the jobs=1 throughput), the forest.* / perf.forest.* family written by the
+sharded forest runtime and exp19 (outcome and op-mix counters partitioning
+the request total, speedups consistent with the per-shard-count rates,
+serial and shard-idle shares within [0, 1], and a timed sweep's report
+carrying a steady-state perf.forest.allocs_per_event of at most 0.01), and
+— when the exp17 per-rate gauges are present — that the measured
+reliability overhead is monotone in the drop rate.  The
+causal-observability sections added with the span subsystem are validated
+too: req.latency.* histogram counts must partition forest.requests.total
+with ordered percentile gauges, the "timeline" flight-recorder section
+must hold well-formed monotone rows, and the "spans" section must be
+internally consistent (conserved ring counts, non-negative durations,
+resolvable parents).  Exits nonzero with a message on the first
+violation; prints a one-line summary on success.  Used by the CI
+metrics-smoke, chaos-smoke and perf-smoke jobs.
 """
 
 import json
+import re
 import sys
 
 REQUIRED_KEYS = ("name", "params", "metrics", "histograms", "net_stats",
@@ -137,65 +151,39 @@ def check_crash_family(path: str, counters: dict, gauges: dict,
               + (f", {points} exp21 points" if points else "") + ")")
 
 
-def check_perf_family(path: str, counters: dict, gauges: dict) -> None:
-    """Consistency of the perf.* family written by bench/perf_suite: rates
-    and percentiles must be positive finite numbers, per-phase event counts
-    must sum to the total, and the headline gauges must agree in sign with
-    the phase gauges they are derived from."""
-    perf_counters = {k: v for k, v in counters.items() if k.startswith("perf.")}
-    perf_gauges = {k: v for k, v in gauges.items() if k.startswith("perf.")}
-    if not perf_counters and not perf_gauges:
-        return  # not a perf report
-    for name, value in perf_counters.items():
-        if not isinstance(value, int) or value < 0:
+def check_perf_values(path: str, counters: dict, gauges: dict) -> None:
+    """Every perf.* counter is a non-negative integer and every perf.*
+    gauge a non-negative number (a NaN gauge is dumped as null)."""
+    for name, value in counters.items():
+        if name.startswith("perf.") and (not isinstance(value, int)
+                                         or value < 0):
             fail(f"{path}: counter '{name}' = {value!r} is not a "
                  f"non-negative integer")
-    for name, value in perf_gauges.items():
-        if not isinstance(value, (int, float)) or value != value or value < 0:
+    for name, value in gauges.items():
+        if name.startswith("perf.") and (
+                not isinstance(value, (int, float)) or value != value
+                or value < 0):
             fail(f"{path}: gauge '{name}' = {value!r} is not a "
                  f"non-negative number")
-    # The perf_suite headline gauges are only required when the report IS a
-    # perf_suite report — one whose perf.* family extends beyond the
-    # self-contained perf.parallel. / perf.forest. / perf.mem. scaling and
-    # memory sub-families (exp19 writes perf.forest.* and perf.mem.* alone).
-    suite_gauges = {k for k in perf_gauges
-                    if not k.startswith(("perf.parallel.", "perf.forest.",
-                                         "perf.mem."))}
-    if suite_gauges:
-        for required in ("perf.events_per_sec", "perf.allocs_per_event",
-                         "perf.ns_per_event_p50", "perf.ns_per_event_p99"):
-            if required not in perf_gauges:
-                fail(f"{path}: perf report lacks gauge '{required}'")
-        if perf_gauges["perf.events_per_sec"] <= 0:
-            fail(f"{path}: perf.events_per_sec is not positive")
-        if (perf_gauges["perf.ns_per_event_p99"] <
-                perf_gauges["perf.ns_per_event_p50"]):
-            fail(f"{path}: perf percentiles inverted (p99 < p50)")
-        phase_events = sum(v for k, v in perf_counters.items()
-                           if k.endswith(".events") and k != "perf.events"
-                           and not k.startswith("perf.parallel."))
-        total = perf_counters.get("perf.events", 0)
-        if phase_events and total and phase_events != total:
-            fail(f"{path}: per-phase perf.<phase>.events sum to "
-                 f"{phase_events} but perf.events = {total}")
-    check_parallel_family(path, perf_counters, perf_gauges)
-    if suite_gauges:
-        print(f"check_report: perf family ok "
-              f"({perf_gauges['perf.events_per_sec']:.0f} events/sec, "
-              f"{perf_gauges['perf.allocs_per_event']:.3f} allocs/event)")
+
+
+# A parallel batch may run slower than jobs=1 by this factor at most, at
+# any jobs value the host has hardware threads for.
+PARALLEL_RATE_FLOOR = 0.4
 
 
 def check_parallel_family(path: str, counters: dict, gauges: dict) -> None:
-    """Consistency of the perf.parallel.* family (parallel run-engine
+    """Consistency of the perf.parallel.* family (exp19's run-engine
     scaling phase): the jobs=1 throughput must be positive, the published
-    speedup must equal the j4/j1 gauge ratio, and the batch counters must
-    be positive integers.  (The parallel phase's events/sec gauges are
-    intentionally absent from the cross-machine baseline comparison —
-    check_bench.py gates them within a single report.)"""
+    speedup must equal the j4/j1 gauge ratio, the batch counters must be
+    positive integers, and no batch with at most hw_threads jobs may fall
+    below PARALLEL_RATE_FLOOR times the jobs=1 throughput — parallelism
+    must never cost throughput where the cores exist to back it
+    (oversubscribed batches are informational only)."""
     par_gauges = {k: v for k, v in gauges.items()
                   if k.startswith("perf.parallel.")}
     if not par_gauges:
-        return  # older report without the parallel phase
+        return  # no run-engine phase in this report
     j1 = par_gauges.get("perf.parallel.events_per_sec_j1", 0.0)
     if j1 <= 0:
         fail(f"{path}: perf.parallel.events_per_sec_j1 is not positive")
@@ -206,13 +194,30 @@ def check_parallel_family(path: str, counters: dict, gauges: dict) -> None:
         if abs(speedup - derived) > 1e-6 * max(1.0, derived):
             fail(f"{path}: perf.parallel.speedup_j4 = {speedup:.6f} but "
                  f"j4/j1 = {derived:.6f}")
-    if par_gauges.get("perf.parallel.hw_threads", 0.0) < 1.0:
+    hw = par_gauges.get("perf.parallel.hw_threads", 0.0)
+    if hw < 1.0:
         fail(f"{path}: perf.parallel.hw_threads below 1")
     for name in ("perf.parallel.events", "perf.parallel.runs"):
         value = counters.get(name)
         if not isinstance(value, int) or value <= 0:
             fail(f"{path}: counter '{name}' = {value!r} is not a "
                  f"positive integer")
+    for name, rate in sorted(par_gauges.items()):
+        if not name.startswith("perf.parallel.events_per_sec_j"):
+            continue
+        jobs = float(name.rsplit("_j", 1)[1])
+        if 1 < jobs <= hw and rate < PARALLEL_RATE_FLOOR * j1:
+            fail(f"{path}: {name} = {rate:.0f} below "
+                 f"{PARALLEL_RATE_FLOOR} x jobs=1 ({j1:.0f}) on a "
+                 f"{hw:.0f}-thread host: parallel execution costs "
+                 f"throughput")
+    print(f"check_report: parallel family ok ({j1:.0f} events/sec at "
+          f"jobs=1, {hw:.0f} hardware threads)")
+
+
+# Steady-state allocations per event of exp19's echo phase; jitter such as
+# a one-off lazy init inside the timed loop stays below it.
+FOREST_ALLOCS_PER_EVENT_MAX = 0.01
 
 
 def check_forest_family(path: str, counters: dict, gauges: dict) -> None:
@@ -221,10 +226,10 @@ def check_forest_family(path: str, counters: dict, gauges: dict) -> None:
     outcome and op-mix counters must partition the request total, the
     published speedups must equal the per-shard-count throughput ratios,
     the per-shard-count request rates must all be positive, and the
-    serial_share / shard_idle_share gauges must lie in [0, 1].  (The
-    perf.forest.* rates are machine-local — check_bench.py excludes them
-    from the cross-machine baseline diff and gates the speedup within a
-    single report.)"""
+    serial_share / shard_idle_share gauges must lie in [0, 1], and a
+    report with the timed sweep must carry perf.forest.allocs_per_event
+    at most FOREST_ALLOCS_PER_EVENT_MAX.  (The perf.forest.* rates are
+    machine-local; CI bounds the speedup within a single report.)"""
     total = counters.get("forest.requests.total")
     if total is not None:
         outcomes = (counters.get("forest.requests.granted", 0)
@@ -251,6 +256,18 @@ def check_forest_family(path: str, counters: dict, gauges: dict) -> None:
              if k.startswith("perf.forest.requests_per_sec.s")}
     if not rates:
         return
+    # A timed sweep is followed by the echo phase, whose steady-state shard
+    # loop must not allocate per event on any machine.  A sweep report
+    # without the gauge stopped before that phase.
+    allocs = gauges.get("perf.forest.allocs_per_event")
+    if allocs is None:
+        fail(f"{path}: perf.forest rates present without "
+             f"perf.forest.allocs_per_event (the run stopped before its "
+             f"allocation phase)")
+    if allocs > FOREST_ALLOCS_PER_EVENT_MAX:
+        fail(f"{path}: perf.forest.allocs_per_event = {allocs:.4f} > "
+             f"{FOREST_ALLOCS_PER_EVENT_MAX}: the steady-state shard loop "
+             f"must not allocate per event")
     for name, value in rates.items():
         if value <= 0:
             fail(f"{path}: gauge '{name}' is not positive")
@@ -285,8 +302,7 @@ def check_mem_family(path: str, gauges: dict) -> None:
     (resident + hibernated == materialized, materialized + virgin ==
     trees), hibernated snapshots must carry bytes, and the kernel's peak
     RSS can never sit below the current reading.  Absolute byte values are
-    machine-local (check_bench.py excludes the family from baseline
-    diffs); only the internal arithmetic is checked here."""
+    machine-local; only the internal arithmetic is checked here."""
     mem = {k[len("perf.mem."):]: v for k, v in gauges.items()
            if k.startswith("perf.mem.")}
     if not mem:
@@ -479,9 +495,50 @@ def check_spans(path: str, spans: dict) -> None:
           f"{spans['overwritten']} overwritten)")
 
 
+TERM = re.compile(r"^([^<>=]+)(<=|>=|=)(.+)$")
+
+
+def check_term(path: str, term: str, counters: dict, gauges: dict) -> bool:
+    """One command-line TERM (see the module doc).  A violated bound is
+    printed and returns False, so every bound of a run gets reported."""
+    m = TERM.match(term)
+    if m is None:
+        if term not in counters:
+            fail(f"{path}: counter '{term}' not in report")
+        if counters[term] == 0:
+            fail(f"{path}: counter '{term}' is zero")
+        return True
+    name, op, text = m.groups()
+    try:
+        bound = float(text)
+    except ValueError:
+        fail(f"bad bound in term '{term}'")
+    value = counters.get(name, gauges.get(name))
+    if value is None:
+        fail(f"{path}: '{name}' not in report (term '{term}')")
+    shown = value if isinstance(value, int) else f"{value:.6g}"
+    if "speedup" in name:
+        hw_name = ".".join(name.split(".")[:2]) + ".hw_threads"
+        hw = gauges.get(hw_name)
+        if hw is None:
+            fail(f"{path}: {hw_name} missing for term '{term}'")
+        if hw < 4:
+            print(f"check_report: {name} = {shown}, '{op}{text}' skipped "
+                  f"({hw:.0f} hardware threads < 4)")
+            return True
+    ok = {"=": value == bound, "<=": value <= bound,
+          ">=": value >= bound}[op]
+    if not ok:
+        print(f"check_report: {path}: {name} = {shown} violates "
+              f"'{op}{text}'", file=sys.stderr)
+        return False
+    print(f"check_report: {name} = {shown} ok ({op}{text})")
+    return True
+
+
 def main() -> None:
     if len(sys.argv) < 2:
-        fail("usage: check_report.py <report.json> [counter ...]")
+        fail("usage: check_report.py <report.json> [TERM ...]")
 
     path = sys.argv[1]
     try:
@@ -506,7 +563,8 @@ def main() -> None:
     check_fault_families(path, counters)
     check_crash_family(path, counters, metrics["gauges"],
                        report.get("params", {}))
-    check_perf_family(path, counters, metrics["gauges"])
+    check_perf_values(path, counters, metrics["gauges"])
+    check_parallel_family(path, counters, metrics["gauges"])
     check_forest_family(path, counters, metrics["gauges"])
     check_mem_family(path, metrics["gauges"])
     check_latency_family(path, counters, metrics["gauges"],
@@ -514,11 +572,11 @@ def main() -> None:
     check_timeline(path, report["timeline"], counters)
     check_spans(path, report["spans"])
     check_exp17_monotone(path, metrics["gauges"])
-    for name in sys.argv[2:]:
-        if name not in counters:
-            fail(f"{path}: counter '{name}' not in report")
-        if counters[name] == 0:
-            fail(f"{path}: counter '{name}' is zero")
+    violated = [term for term in sys.argv[2:]
+                if not check_term(path, term, counters, metrics["gauges"])]
+    if violated:
+        fail(f"{path}: {len(violated)} bound(s) violated: "
+             f"{' '.join(violated)}")
 
     print(f"check_report: {path} ok "
           f"({len(counters)} counters, "
