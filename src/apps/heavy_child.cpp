@@ -10,18 +10,9 @@ namespace dyncon::apps {
 
 using core::RequestSpec;
 
-HeavyChild::HeavyChild(tree::DynamicTree& tree, Options options)
-    : HeavyChild(nullptr, tree, options) {}
-
-HeavyChild::HeavyChild(sim::Network& net, tree::DynamicTree& tree,
-                       Options options)
-    : HeavyChild(&net, tree, options) {}
-
-HeavyChild::HeavyChild(sim::Network* net, tree::DynamicTree& tree,
-                       Options options)
+HeavyChild::HeavyChild(sim::Network* net, tree::DynamicTree& tree)
     : tree_(tree) {
   SubtreeEstimator::Options opts;
-  opts.track_domains = options.track_domains;
   opts.on_estimate_update = [this](NodeId v) { on_estimate_update(v); };
   est_ = net ? std::make_unique<SubtreeEstimator>(*net, tree, std::sqrt(3.0),
                                                   std::move(opts))

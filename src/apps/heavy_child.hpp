@@ -32,18 +32,11 @@ class HeavyChild final : private tree::TreeObserver {
  public:
   using Callback = SubtreeEstimator::Callback;
 
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// Over the centralized controller stack.
-  HeavyChild(tree::DynamicTree& tree, Options options);
-  explicit HeavyChild(tree::DynamicTree& tree)
-      : HeavyChild(tree, Options{}) {}
+  explicit HeavyChild(tree::DynamicTree& tree) : HeavyChild(nullptr, tree) {}
   /// Over the simulator.
-  HeavyChild(sim::Network& net, tree::DynamicTree& tree, Options options);
   HeavyChild(sim::Network& net, tree::DynamicTree& tree)
-      : HeavyChild(net, tree, Options{}) {}
+      : HeavyChild(&net, tree) {}
   ~HeavyChild() override;
 
   void submit(const core::RequestSpec& spec, Callback done);
@@ -71,7 +64,7 @@ class HeavyChild final : private tree::TreeObserver {
   }
 
  private:
-  HeavyChild(sim::Network* net, tree::DynamicTree& tree, Options options);
+  HeavyChild(sim::Network* net, tree::DynamicTree& tree);
   void on_estimate_update(NodeId v);
   void recompute_heavy(NodeId v);
 

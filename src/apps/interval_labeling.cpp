@@ -18,18 +18,9 @@ namespace {
 constexpr std::uint64_t kStride = 16;
 }  // namespace
 
-IntervalLabeling::IntervalLabeling(tree::DynamicTree& tree, Options options)
-    : IntervalLabeling(nullptr, tree, options) {}
-
-IntervalLabeling::IntervalLabeling(sim::Network& net, tree::DynamicTree& tree,
-                                   Options options)
-    : IntervalLabeling(&net, tree, options) {}
-
-IntervalLabeling::IntervalLabeling(sim::Network* net, tree::DynamicTree& tree,
-                                   Options options)
+IntervalLabeling::IntervalLabeling(sim::Network* net, tree::DynamicTree& tree)
     : tree_(tree) {
   SizeEstimation::Options se;
-  se.track_domains = options.track_domains;
   se.on_iteration_start = [this] {
     // When the network shrank enough that the old labels waste bits,
     // rebuild; amortized against the >= Omega(N_i) changes the

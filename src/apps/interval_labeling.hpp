@@ -41,19 +41,12 @@ class IntervalLabeling {
     std::uint64_t post = 0;  ///< interval end
   };
 
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// Over the centralized controller stack.
-  IntervalLabeling(tree::DynamicTree& tree, Options options);
   explicit IntervalLabeling(tree::DynamicTree& tree)
-      : IntervalLabeling(tree, Options{}) {}
+      : IntervalLabeling(nullptr, tree) {}
   /// Over the simulator.
-  IntervalLabeling(sim::Network& net, tree::DynamicTree& tree,
-                   Options options);
   IntervalLabeling(sim::Network& net, tree::DynamicTree& tree)
-      : IntervalLabeling(net, tree, Options{}) {}
+      : IntervalLabeling(&net, tree) {}
   // The layer's callbacks hold `this`.
   IntervalLabeling(const IntervalLabeling&) = delete;
   IntervalLabeling& operator=(const IntervalLabeling&) = delete;
@@ -83,8 +76,7 @@ class IntervalLabeling {
   [[nodiscard]] std::uint64_t messages() const;
 
  private:
-  IntervalLabeling(sim::Network* net, tree::DynamicTree& tree,
-                   Options options);
+  IntervalLabeling(sim::Network* net, tree::DynamicTree& tree);
   void relabel();
   void assign_leaf_label(NodeId u, NodeId parent);
   void assign_wrapper_label(NodeId m);

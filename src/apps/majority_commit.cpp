@@ -8,22 +8,15 @@ namespace dyncon::apps {
 
 using core::Result;
 
-MajorityCommit::MajorityCommit(tree::DynamicTree& tree, double beta,
-                               Options options)
+MajorityCommit::MajorityCommit(tree::DynamicTree& tree, double beta)
     : tree_(tree), beta_(beta) {
   DYNCON_REQUIRE(beta > 1.0 && beta * beta < 2.0,
                  "beta must be in (1, sqrt(2)) for a usable threshold");
-  SizeEstimation::Options se;
-  se.track_domains = options.track_domains;
-  size_est_ = std::make_unique<SizeEstimation>(tree, beta, std::move(se));
+  size_est_ = std::make_unique<SizeEstimation>(tree, beta);
 }
 
 Result MajorityCommit::request_add_leaf(NodeId parent) {
   return size_est_->request_add_leaf(parent);
-}
-
-Result MajorityCommit::request_add_internal_above(NodeId child) {
-  return size_est_->request_add_internal_above(child);
 }
 
 Result MajorityCommit::request_remove(NodeId v) {
@@ -46,17 +39,11 @@ std::uint64_t MajorityCommit::commit_threshold() const {
 Decision MajorityCommit::decide() {
   // Upcast: every node forwards its subtree's YES count to its parent.
   std::uint64_t yes = 0;
-  const auto nodes = tree_.alive_nodes();
-  for (NodeId v : nodes) {
+  for (NodeId v : tree_.alive_nodes()) {
     auto it = votes_.find(v);
     if (it != votes_.end() && it->second == Vote::kYes) ++yes;
   }
-  round_messages_ += nodes.size();  // one upcast message per node
   return yes >= commit_threshold() ? Decision::kCommit : Decision::kAbort;
-}
-
-std::uint64_t MajorityCommit::messages() const {
-  return size_est_->messages() + round_messages_;
 }
 
 }  // namespace dyncon::apps

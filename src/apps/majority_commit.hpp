@@ -31,18 +31,11 @@ enum class Decision : std::uint8_t { kCommit, kAbort };
 
 class MajorityCommit {
  public:
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// beta must be in (1, sqrt(2)) for the commit threshold to be usable.
-  MajorityCommit(tree::DynamicTree& tree, double beta, Options options);
-  MajorityCommit(tree::DynamicTree& tree, double beta)
-      : MajorityCommit(tree, beta, Options{}) {}
+  MajorityCommit(tree::DynamicTree& tree, double beta);
 
   // Topological requests flow through the underlying size estimation.
   core::Result request_add_leaf(NodeId parent);
-  core::Result request_add_internal_above(NodeId child);
   core::Result request_remove(NodeId v);
 
   /// Record node v's vote (overwrites a previous vote).
@@ -59,14 +52,12 @@ class MajorityCommit {
   [[nodiscard]] std::uint64_t size_estimate() const {
     return size_est_->estimate();
   }
-  [[nodiscard]] std::uint64_t messages() const;
 
  private:
   tree::DynamicTree& tree_;
   double beta_;
   std::unique_ptr<SizeEstimation> size_est_;
   std::unordered_map<NodeId, Vote> votes_;
-  std::uint64_t round_messages_ = 0;
 };
 
 }  // namespace dyncon::apps

@@ -11,9 +11,8 @@ namespace dyncon::apps {
 using core::RequestSpec;
 using core::Result;
 
-NameAssignment::NameAssignment(sim::Network* net, tree::DynamicTree& tree,
-                               Options options)
-    : TerminatingIterations(net, tree), options_(options) {
+NameAssignment::NameAssignment(sim::Network* net, tree::DynamicTree& tree)
+    : TerminatingIterations(net, tree) {
   start();
 }
 
@@ -50,7 +49,7 @@ std::unique_ptr<core::TerminatingController> NameAssignment::iteration(
   const std::uint64_t Mi = std::max<std::uint64_t>(ni / 2, 1);
   const std::uint64_t Wi = std::max<std::uint64_t>(ni / 4, 1);
   core::TerminatingController::Options opts;
-  opts.track_domains = options_.track_domains;
+  opts.track_domains = false;
   // Serial numbers [N_i + 1, N_i + M_i]: disjoint from [1, N_i] and within
   // [1, 3N_i/2], so every identity stays in [1, 4n] throughout.
   opts.serials = Interval(ni + 1, ni + Mi);

@@ -30,21 +30,13 @@ namespace dyncon::apps {
 
 class NameAssignment final : public TerminatingIterations {
  public:
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// Over the centralized controller stack.  Initial identities are
   /// assigned by a DFS over the starting tree.
-  NameAssignment(tree::DynamicTree& tree, Options options)
-      : NameAssignment(nullptr, tree, options) {}
   explicit NameAssignment(tree::DynamicTree& tree)
-      : NameAssignment(nullptr, tree, Options{}) {}
+      : NameAssignment(nullptr, tree) {}
   /// Over the simulator.
-  NameAssignment(sim::Network& net, tree::DynamicTree& tree, Options options)
-      : NameAssignment(&net, tree, options) {}
   NameAssignment(sim::Network& net, tree::DynamicTree& tree)
-      : NameAssignment(&net, tree, Options{}) {}
+      : NameAssignment(&net, tree) {}
 
   /// Current identity of an alive node.
   [[nodiscard]] std::uint64_t id_of(NodeId v) const;
@@ -57,14 +49,13 @@ class NameAssignment final : public TerminatingIterations {
   [[nodiscard]] bool ids_unique() const;
 
  private:
-  NameAssignment(sim::Network* net, tree::DynamicTree& tree, Options options);
+  NameAssignment(sim::Network* net, tree::DynamicTree& tree);
   std::unique_ptr<core::TerminatingController> iteration(
       std::uint64_t ni) override;
   void on_verdict(const core::RequestSpec& spec,
                   const core::Result& r) override;
   void relabel_dfs(std::uint64_t offset);
 
-  Options options_;
   std::unordered_map<NodeId, std::uint64_t> ids_;
 };
 

@@ -16,16 +16,11 @@ constexpr std::uint64_t kRebuildDrift = 2;
 static_assert(kRebuildDrift > 1, "drift factor must exceed 1");
 }  // namespace
 
-NcaLabeling::NcaLabeling(tree::DynamicTree& tree, Options options)
-    : NcaLabeling(std::make_unique<HeavyChild>(
-                      tree, HeavyChild::Options{options.track_domains}),
-                  tree) {}
+NcaLabeling::NcaLabeling(tree::DynamicTree& tree)
+    : NcaLabeling(std::make_unique<HeavyChild>(tree), tree) {}
 
-NcaLabeling::NcaLabeling(sim::Network& net, tree::DynamicTree& tree,
-                         Options options)
-    : NcaLabeling(std::make_unique<HeavyChild>(
-                      net, tree, HeavyChild::Options{options.track_domains}),
-                  tree) {}
+NcaLabeling::NcaLabeling(sim::Network& net, tree::DynamicTree& tree)
+    : NcaLabeling(std::make_unique<HeavyChild>(net, tree), tree) {}
 
 NcaLabeling::NcaLabeling(std::unique_ptr<HeavyChild> hc,
                          tree::DynamicTree& tree)

@@ -43,19 +43,11 @@ class NcaLabeling {
   };
   using Label = std::vector<Entry>;
 
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// Over the centralized controller stack (leaf dynamics only — see the
   /// header comment).
-  NcaLabeling(tree::DynamicTree& tree, Options options);
-  explicit NcaLabeling(tree::DynamicTree& tree)
-      : NcaLabeling(tree, Options{}) {}
+  explicit NcaLabeling(tree::DynamicTree& tree);
   /// Over the simulator.
-  NcaLabeling(sim::Network& net, tree::DynamicTree& tree, Options options);
-  NcaLabeling(sim::Network& net, tree::DynamicTree& tree)
-      : NcaLabeling(net, tree, Options{}) {}
+  NcaLabeling(sim::Network& net, tree::DynamicTree& tree);
   // Pending requests' callbacks hold `this`.
   NcaLabeling(const NcaLabeling&) = delete;
   NcaLabeling& operator=(const NcaLabeling&) = delete;

@@ -27,7 +27,7 @@ std::unique_ptr<core::TerminatingController> SizeEstimation::iteration(
   const std::uint64_t Mi = std::max<std::uint64_t>(budget, 1);
   const std::uint64_t Wi = std::max<std::uint64_t>(Mi / 2, 1);
   core::TerminatingController::Options opts;
-  opts.track_domains = options_.track_domains;
+  opts.track_domains = false;
   opts.on_pass_down = options_.on_pass_down;
   auto ctrl = std::make_unique<core::TerminatingController>(
       stack_.net(), tree_, Mi, Wi, /*U=*/2 * ni + Mi, std::move(opts));

@@ -35,7 +35,6 @@ namespace dyncon::apps {
 class SizeEstimation final : public TerminatingIterations {
  public:
   struct Options {
-    bool track_domains = false;
     /// Forwarded to the controller iterations (§5.3; used by
     /// SubtreeEstimator).
     std::function<void(NodeId, std::uint64_t)> on_pass_down;

@@ -32,7 +32,6 @@ SubtreeEstimator::SubtreeEstimator(sim::Network* net,
                                    Options options)
     : tree_(tree), options_(std::move(options)) {
   SizeEstimation::Options se;
-  se.track_domains = options_.track_domains;
   se.on_pass_down = [this](NodeId v, std::uint64_t permits) {
     on_pass_down(v, permits);
   };

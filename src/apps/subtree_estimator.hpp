@@ -35,7 +35,6 @@ class SubtreeEstimator {
   using Callback = SizeEstimation::Callback;
 
   struct Options {
-    bool track_domains = false;
     /// Fired after any estimate update at `node` (HeavyChild forwards the
     /// new estimate to the parent).
     std::function<void(NodeId)> on_estimate_update;

@@ -8,12 +8,8 @@
 namespace dyncon::apps {
 
 TwoPhaseCommit::TwoPhaseCommit(sim::Network& net, tree::DynamicTree& tree,
-                               double beta, Options options)
-    : net_(net),
-      tree_(tree),
-      beta_(beta),
-      size_est_(net, tree, beta,
-                SizeEstimation::Options{options.track_domains, {}, {}}),
+                               double beta)
+    : net_(net), tree_(tree), beta_(beta), size_est_(net, tree, beta),
       cast_(net, tree) {
   DYNCON_REQUIRE(beta > 1.0 && beta * beta < 2.0,
                  "beta must be in (1, sqrt(2)) for a usable threshold");

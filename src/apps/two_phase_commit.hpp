@@ -31,15 +31,8 @@ class TwoPhaseCommit {
  public:
   using Callback = SizeEstimation::Callback;
 
-  struct Options {
-    bool track_domains = false;
-  };
-
   /// beta must lie in (1, sqrt(2)) so the threshold is usable.
-  TwoPhaseCommit(sim::Network& net, tree::DynamicTree& tree, double beta,
-                 Options options);
-  TwoPhaseCommit(sim::Network& net, tree::DynamicTree& tree, double beta)
-      : TwoPhaseCommit(net, tree, beta, Options{}) {}
+  TwoPhaseCommit(sim::Network& net, tree::DynamicTree& tree, double beta);
 
   // ---- membership (controlled model, via the size estimator) --------------
 

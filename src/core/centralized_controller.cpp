@@ -76,18 +76,6 @@ std::uint64_t CentralizedController::unused_permits() const {
   return storage_ + packages_.permits_in_packages();
 }
 
-void CentralizedController::clear_data_structure() {
-  std::uint64_t reclaimed = 0;
-  for (PackageId p : packages_.all_alive()) {
-    const Package& pkg = packages_.get(p);
-    if (pkg.kind != PackageKind::kReject) reclaimed += pkg.size;
-    if (domains_) domains_->drop(p);
-    packages_.cancel(p);
-  }
-  storage_ += reclaimed;
-  storage_serials_ = Interval{};  // serials are not reconstructed
-}
-
 void CentralizedController::extract_image(Image& out) const {
   DYNCON_REQUIRE(storage_serials_.empty() && options_.serials.empty(),
                  "extract_image: serial-tracking controllers not supported");

@@ -103,11 +103,6 @@ class CentralizedController final : public IController {
     return storage_serials_;
   }
 
-  /// Cancel every package and return their permits (and serials are
-  /// forgotten; callers that track serials must harvest before clearing).
-  /// Used by iteration wrappers when re-parameterizing.
-  void clear_data_structure();
-
   // ---- hibernation images --------------------------------------------------
 
   /// The controller's complete mutable state (the tree itself is rebuilt

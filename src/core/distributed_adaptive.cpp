@@ -209,24 +209,6 @@ void DistributedAdaptive::submit(const RequestSpec& spec, Callback done) {
   dispatch(spec, std::move(done));
 }
 
-void DistributedAdaptive::submit_event(NodeId u, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kEvent, u}, std::move(done));
-}
-
-void DistributedAdaptive::submit_add_leaf(NodeId parent, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kAddLeaf, parent}, std::move(done));
-}
-
-void DistributedAdaptive::submit_add_internal_above(NodeId child,
-                                                    Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kAddInternal, child},
-         std::move(done));
-}
-
-void DistributedAdaptive::submit_remove(NodeId v, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
-}
-
 std::uint64_t DistributedAdaptive::messages_used() const {
   return messages_base_ + (main_ ? main_->messages_used() : 0) +
          (counter_ ? counter_->messages_used() : 0);

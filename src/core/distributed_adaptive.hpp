@@ -65,10 +65,6 @@ class DistributedAdaptive {
   DistributedAdaptive& operator=(const DistributedAdaptive&) = delete;
 
   void submit(const RequestSpec& spec, Callback done);
-  void submit_event(NodeId u, Callback done);
-  void submit_add_leaf(NodeId parent, Callback done);
-  void submit_add_internal_above(NodeId child, Callback done);
-  void submit_remove(NodeId v, Callback done);
 
   [[nodiscard]] std::uint64_t messages_used() const;
   [[nodiscard]] std::uint64_t permits_granted() const;

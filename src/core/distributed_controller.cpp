@@ -118,9 +118,6 @@ void DistributedController::submit(const RequestSpec& spec, Callback done) {
   net_.queue().schedule_after(0, [this, spec, done = std::move(done)] {
     if (moot(spec)) {
       obs::count("requests.moot");
-      if (obs::SpanSink* sink = obs::spans()) {
-        obs::emit_span(instant_op_span(*sink, Outcome::kMoot, spec.subject));
-      }
       done(Result{Outcome::kMoot});
       return;
     }
@@ -134,42 +131,12 @@ void DistributedController::submit(const RequestSpec& spec, Callback done) {
     a.at = arrival;
     a.request = spec;
     a.done = std::move(done);
-    // Open the op span at creation time, parented to whatever causal
-    // context is active when this event fires (a traced request driving
-    // the submit, or nothing — then the op roots a fresh trace).
-    if (obs::SpanSink* sink = obs::spans()) {
-      const obs::SpanContext parent = obs::current_span();
-      a.span.trace = parent.trace != obs::kNoTrace ? parent.trace
-                                                   : sink->new_trace();
-      a.span.span = sink->open(a.span.trace);
-      a.span_parent =
-          parent.trace != obs::kNoTrace ? parent.span : obs::kNoSpan;
-      a.span_begin = net_.queue().now();
-    }
-    obs::ScopedSpanContext span_scope(a.span);
     on_enter(a, arrival, kNoNode);
   });
 }
 
 bool DistributedController::moot(const RequestSpec& spec) const {
   return !tree_.alive(spec.subject);
-}
-
-obs::Span DistributedController::instant_op_span(obs::SpanSink& sink,
-                                                 Outcome outcome,
-                                                 NodeId node) {
-  const obs::SpanContext parent = obs::current_span();
-  obs::Span s;
-  s.trace = parent.trace != obs::kNoTrace ? parent.trace : sink.new_trace();
-  s.id = sink.open(s.trace);
-  s.parent = parent.trace != obs::kNoTrace ? parent.span : obs::kNoSpan;
-  s.kind = obs::SpanKind::kOp;
-  s.op = static_cast<std::uint8_t>(outcome);
-  s.label = outcome_name(outcome);
-  s.node = node;
-  s.begin = net_.queue().now();
-  s.end = s.begin;
-  return s;
 }
 
 // ---- movement helpers ----------------------------------------------------------
@@ -279,10 +246,6 @@ void DistributedController::on_arrival(AgentId id, NodeId node,
     kill_agent(id);
     return;
   }
-  // Re-assert the agent's own causal context: a resumed waiter runs inside
-  // the resuming agent's delivery continuation and would otherwise charge
-  // its sends to the wrong op span.
-  obs::ScopedSpanContext span_scope(a.span);
   a.at = node;
   switch (a.phase) {
     case Phase::kStart:
@@ -747,20 +710,6 @@ void DistributedController::finish(Agent& a) {
                          " top=" + std::to_string(a.top_distance) +
                          " outcome=" + outcome_name(a.result.outcome));
   }
-  if (obs::SpanSink* sink = obs::spans();
-      sink != nullptr && a.span.trace != obs::kNoTrace) {
-    obs::Span s;
-    s.trace = a.span.trace;
-    s.id = a.span.span;
-    s.parent = a.span_parent;
-    s.kind = obs::SpanKind::kOp;
-    s.op = static_cast<std::uint8_t>(a.result.outcome);
-    s.label = outcome_name(a.result.outcome);
-    s.node = a.origin;
-    s.begin = a.span_begin;
-    s.end = net_.queue().now();
-    sink->emit(s);
-  }
   const Result res = a.result;
   Callback done = std::move(a.done);
   agents_.erase(a.id);
@@ -840,17 +789,6 @@ void DistributedController::on_restart(NodeId v) {
   restored.add();
   static thread_local obs::CounterHandle reinc("recovery.agents_reincarnated");
   reinc.add(decoded.queue.size());
-  if (obs::SpanSink* sink = obs::spans()) {
-    obs::Span s;
-    s.trace = sink->new_trace();
-    s.id = obs::kRootSpanId;
-    s.kind = obs::SpanKind::kRecovery;
-    s.node = v;
-    s.begin = net_.queue().now();
-    s.end = s.begin;
-    s.label = "restore";
-    sink->emit(s);
-  }
 }
 
 bool DistributedController::crash_recover() {
@@ -869,7 +807,6 @@ void DistributedController::kill_agent(AgentId id) {
   Agent* ap = agents_.find(id);
   DYNCON_INVARIANT(ap != nullptr, "killing an unknown agent");
   Agent& a = *ap;
-  obs::ScopedSpanContext span_scope(a.span);
   // Release every lock it still holds and pull it out of any queue it is
   // parked in; alive_nodes() fixes a deterministic sweep order.
   for (NodeId v : tree_.alive_nodes()) {

@@ -47,7 +47,6 @@
 #include "core/domain.hpp"
 #include "core/package.hpp"
 #include "core/params.hpp"
-#include "obs/span.hpp"
 #include "sim/crash.hpp"
 #include "sim/network.hpp"
 #include "tree/dynamic_tree.hpp"
@@ -217,13 +216,6 @@ class DistributedController final : public BaseController,
     Callback done;
     Result result;
     std::uint64_t locks_held = 0;  ///< debug accounting; 0 at termination
-    // Op-span state (inert — trace stays kNoTrace — unless a SpanSink is
-    // installed when the agent is created): every processing step scopes
-    // `span` as the current context so hop spans parent to this op, and
-    // finish() closes the op span [span_begin, now].
-    obs::SpanContext span;
-    std::uint32_t span_parent = obs::kNoSpan;
-    SimTime span_begin = 0;
   };
 
   /// Dense slot map keyed by the sequential AgentId stream.  Lookup — the
@@ -307,9 +299,6 @@ class DistributedController final : public BaseController,
   void terminate_at_origin(Agent& a);
   void apply_event_at_grant(Agent& a);
   void finish(Agent& a);
-  /// Zero-width op span for requests resolved without an agent (moot).
-  [[nodiscard]] obs::Span instant_op_span(obs::SpanSink& sink,
-                                          Outcome outcome, NodeId node);
   void resume_waiter(const agent::Waiter& w, NodeId at);
   /// Tail-position resume (the vectorized grant path).  Callers guarantee
   /// this is the LAST action of the current event's handler; the waiter is

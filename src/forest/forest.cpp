@@ -7,16 +7,16 @@
 
 #include "sim/wire.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dyncon::forest {
 
 namespace {
 
-// Seed salts: the mux consumes Rng(seed) itself, so the tree and shard
-// split chains hang off distinct splitmix-scrambled parents.  Both chains
-// are pure functions of (seed, index) — never of the shard count.
-constexpr std::uint64_t kTreeSalt = 0x7472656573616c74ULL;   // "treesalt"
-constexpr std::uint64_t kShardSalt = 0x73686472646e6773ULL;  // "shdrdngs"
+// Seed salt: the mux consumes Rng(seed) itself, so the tree split chain
+// hangs off a distinct splitmix-scrambled parent.  The chain is a pure
+// function of (seed, index) — never of the shard count.
+constexpr std::uint64_t kTreeSalt = 0x7472656573616c74ULL;  // "treesalt"
 
 // Base service latency of every request, before its 0..3 ticks of
 // per-tree jitter.
@@ -72,10 +72,8 @@ ForestEngine::ForestEngine(const ForestConfig& cfg, std::uint64_t seed)
   spans_enabled_ = obs::spans() != nullptr;
 
   shards_.reserve(cfg_.shards);
-  Rng shard_parent(seed ^ kShardSalt);
   for (unsigned s = 0; s < cfg_.shards; ++s) {
     auto sh = std::make_unique<Shard>();
-    sh->rng = shard_parent.split();
     sh->queue.reserve(64);
     sh->outbox.reserve(256);
     sh->inbox.reserve(256);
@@ -375,7 +373,7 @@ void ForestEngine::serve(std::uint64_t user, std::uint32_t tree,
   Shard& sh = *shards_[shard_of(tree)];
 
   // Causal context for everything this request touches: the controller's
-  // op span (and any hop spans under it) parent to the request's root span.
+  // op span parents to the request's root span.
   // The save/restore is two thread-local copies; the stores are behind the
   // spans-enabled check.
   obs::ScopedSpanContext span_scope;
@@ -563,7 +561,7 @@ void ForestEngine::merge_shard_spans() {
   if (sink == nullptr || !spans_enabled_) return;
   // Root spans were emitted straight into the caller's sink (the exchange
   // runs on this thread, in global (done, user) order).  Shard sinks hold
-  // the op and hop spans; (trace, id) is globally unique — a trace's ops
+  // the op spans; (trace, id) is globally unique — a trace's ops
   // run on exactly one shard, and ids are per-trace — so sorting by it
   // gives one total order every shard count agrees on.
   std::vector<obs::Span> all;
@@ -581,16 +579,6 @@ void ForestEngine::merge_shard_spans() {
             });
   for (const obs::Span& s : all) sink->emit(s);
   sink->add_overwritten(lost);
-}
-
-std::vector<std::uint64_t> ForestEngine::shard_rng_fingerprints() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(shards_.size());
-  for (const auto& shp : shards_) {
-    Rng copy = shp->rng;
-    out.push_back(copy.next());
-  }
-  return out;
 }
 
 }  // namespace dyncon::forest

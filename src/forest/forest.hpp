@@ -11,8 +11,8 @@
 //   * K shards, each owning a disjoint set of trees, its OWN
 //     sim::EventQueue (with PR 4's recycled slot-slab arena), its own
 //     obs::Registry (thread-confined; merged deterministically at the end),
-//     and a per-shard Rng split from the run seed for shard-local
-//     auxiliary draws.  All semantic randomness is per-TREE or per-USER
+//     and, when spans are on, its own obs::SpanSink (merged in a
+//     shard-invariant order).  All randomness is per-TREE or per-USER
 //     split chains, which is what makes results shard-count invariant.
 //
 //   * A virtual-time barrier scheduler: shards advance concurrently
@@ -71,7 +71,6 @@
 #include "obs/span.hpp"
 #include "sim/event_queue.hpp"
 #include "tree/dynamic_tree.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/request_mux.hpp"
 
@@ -204,10 +203,6 @@ class ForestEngine {
     return tree % static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// First draw of a COPY of each shard's Rng (tests: the per-shard
-  /// streams must be pairwise independent and seed-stable).
-  [[nodiscard]] std::vector<std::uint64_t> shard_rng_fingerprints() const;
-
  private:
   struct Completion {
     SimTime done;
@@ -219,9 +214,6 @@ class ForestEngine {
     sim::EventQueue queue;
     obs::Registry registry;
     std::unique_ptr<obs::SpanSink> spans;  ///< null unless spans enabled
-    Rng rng;  ///< shard-local auxiliary stream (diagnostics sampling);
-              ///< semantic draws use per-tree/per-user chains so results
-              ///< stay shard-count invariant
     std::vector<Completion> outbox;            // filled during a window
     std::vector<workload::MuxRequest> inbox;   // staged at barriers
     // Resident-tree arena + frozen snapshot store, both thread-confined to

@@ -47,14 +47,6 @@ void FlightRecorder::commit_row() {
   }
 }
 
-void FlightRecorder::clear() {
-  ring_.clear();
-  row_open_ = false;
-  next_ = 0;
-  taken_ = 0;
-  overwritten_ = 0;
-}
-
 json::Value FlightRecorder::to_json() const {
   json::Value doc = json::Value::object();
   doc["period"] = period_;

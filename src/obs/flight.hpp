@@ -58,7 +58,6 @@ class FlightRecorder {
   /// Rows committed (monotone; unaffected by ring eviction).
   [[nodiscard]] std::uint64_t taken() const { return taken_; }
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
-  void clear();
 
   /// {"period", "capacity", "taken", "overwritten", "counters": [names],
   ///  "rows": [[t, v0, v1, ...], ...]}.

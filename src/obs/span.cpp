@@ -6,9 +6,6 @@ const char* span_kind_name(SpanKind kind) {
   switch (kind) {
     case SpanKind::kRequest: return "request";
     case SpanKind::kOp: return "op";
-    case SpanKind::kHop: return "hop";
-    case SpanKind::kCrash: return "crash";
-    case SpanKind::kRecovery: return "recovery";
   }
   return "invalid";
 }
@@ -55,7 +52,6 @@ json::Value SpanSink::to_json() const {
     ev["op"] = static_cast<std::uint64_t>(s.op);
     if (s.label != nullptr) ev["label"] = s.label;
     if (s.node != kNoNode) ev["node"] = s.node;
-    if (s.peer != kNoNode) ev["peer"] = s.peer;
     ev["begin"] = s.begin;
     ev["end"] = s.end;
     events.push_back(std::move(ev));

@@ -4,22 +4,21 @@
 //
 // A Span is one closed interval of virtual time attributed to a trace: the
 // root span of a trace is a user request's end-to-end life (mux arrival ->
-// completion), its children are the controller operations served on its
-// behalf, and *their* children are individual message hops.  Spans are POD
-// records emitted on completion (the emitter tracks the begin time), so
-// recording one is an O(1) copy into a bounded ring — the same shape as
-// obs::EventTrace, and with the same install discipline as the metrics
-// registry: a thread-local SpanSink pointer, one branch per would-be span
-// when none is installed, zero allocation on any hot path that has no sink.
+// completion), and its children are the centralized-controller operations
+// the forest serves on its behalf.  Spans are POD records emitted on
+// completion (the emitter tracks the begin time), so recording one is an
+// O(1) copy into a bounded ring — the same shape as obs::EventTrace, and
+// with the same install discipline as the metrics registry: a thread-local
+// SpanSink pointer, one branch per would-be span when none is installed,
+// zero allocation on any hot path that has no sink.  The simulator stack
+// records no spans; its post-mortem record is obs::EventTrace.
 //
 // Causality is carried OUT OF BAND.  The current (trace, span) pair lives
 // in a thread-local SpanContext that emitters scope around the work they
-// attribute (ScopedSpanContext); the network stashes per-message hop state
-// in a side table keyed by a token captured in the delivery continuation.
-// Wire bytes, event timing, and RNG draws are untouched, which is what
-// keeps every run byte-identical with spans on or off and at any shard
-// count (the forest engine merges per-shard sinks in a shard-invariant
-// order; see forest/forest.cpp).
+// attribute (ScopedSpanContext).  Event timing and RNG draws are
+// untouched, which is what keeps every run byte-identical with spans on or
+// off and at any shard count (the forest engine merges per-shard sinks in a
+// shard-invariant order; see forest/forest.cpp).
 
 #include <cstdint>
 #include <deque>
@@ -45,9 +44,6 @@ inline constexpr TraceId kMintedTraceBase = TraceId{1} << 48;
 enum class SpanKind : std::uint8_t {
   kRequest = 0,  ///< root: one user request end to end (op = ForestOp)
   kOp,           ///< one controller operation (op = core::Outcome)
-  kHop,          ///< one message hop (op = sim::MsgKind)
-  kCrash,        ///< one node down window (node = the crashed node)
-  kRecovery,     ///< one restart's recovery work (node = restarted node)
 };
 
 [[nodiscard]] const char* span_kind_name(SpanKind kind);
@@ -62,7 +58,6 @@ struct Span {
   std::uint32_t id = kRootSpanId;
   std::uint32_t parent = kNoSpan;
   NodeId node = kNoNode;
-  NodeId peer = kNoNode;
   SpanKind kind = SpanKind::kRequest;
   std::uint8_t op = 0;
   const char* label = nullptr;
@@ -100,7 +95,7 @@ class SpanSink {
 
   /// {"capacity", "recorded", "overwritten", "events": [...]}; events are
   /// serialized in ring order with all-present numeric fields except node /
-  /// peer / parent, which are omitted when unset.
+  /// parent, which are omitted when unset.
   [[nodiscard]] json::Value to_json() const;
 
  private:
@@ -138,7 +133,6 @@ inline void emit_span(const Span& span) {
 }
 
 [[nodiscard]] inline SpanContext current_span() { return detail::g_span_ctx; }
-inline void set_span_context(SpanContext ctx) { detail::g_span_ctx = ctx; }
 
 /// Virtual "now" for emitters that have no event queue in reach (the
 /// centralized controller): whoever drives such an emitter sets it.

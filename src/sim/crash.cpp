@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::sim {
@@ -171,19 +170,6 @@ void CrashDriver::fire_restart(NodeId v) {
   ++restarts_;
   static thread_local obs::CounterHandle restarts("crash.node_restarts");
   restarts.add();
-  obs::Span span;
-  span.kind = obs::SpanKind::kCrash;
-  span.node = v;
-  span.begin = queue_.now() - schedule_->down_len();
-  span.end = queue_.now();
-  span.label = "down";
-  // Traceless spans would collide on (trace, id); mint a trace per outage
-  // when a sink is installed so the export tooling keeps them distinct.
-  if (obs::SpanSink* sink = obs::spans()) {
-    span.trace = sink->new_trace();
-    span.id = obs::kRootSpanId;
-    sink->emit(span);
-  }
   for (CrashListener* l : listeners_) l->on_restart(v);
 }
 

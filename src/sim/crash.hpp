@@ -122,10 +122,8 @@ class CrashListener {
 
 /// Turns a CrashSchedule into event-queue transitions: start() schedules a
 /// crash event at each window start and a restart event at each window
-/// end, over [0, horizon].  Each transition bumps the crash.* counters,
-/// notifies the listeners, and (restarts) emits one SpanKind::kCrash span
-/// covering the whole down window, so outages are visible in the PR-7
-/// span/flight-recorder tooling.
+/// end, over [0, horizon].  Each transition bumps the crash.* counters and
+/// notifies the listeners.
 class CrashDriver {
  public:
   CrashDriver(EventQueue& queue, std::shared_ptr<const CrashSchedule> schedule);

@@ -195,34 +195,6 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
     // Hot path: exactly one delivery; the continuation moves through
     // untouched — no copy, no allocation.
     const SimTime d = delay_->delay(from, to, seq_++) + fault.stall_ticks;
-    // Hop span (one branch when no sink is installed): park the span and
-    // the continuation in the side table and schedule a token-sized
-    // trampoline instead.  The delay draw and the event count are the same
-    // either way, so enabling spans never perturbs the virtual timeline.
-    // Duplicated copies below take the cold path unspanned: under fault
-    // injection the causal record is best-effort by design.
-    if (obs::SpanSink* sink = obs::spans();
-        sink != nullptr && obs::current_span().trace != obs::kNoTrace) {
-      const obs::SpanContext ctx = obs::current_span();
-      const std::uint64_t token = hop_token_++;
-      PendingHop& hop = pending_hops_[token];
-      hop.span.trace = ctx.trace;
-      hop.span.id = sink->open(ctx.trace);
-      hop.span.parent = ctx.span;
-      hop.span.kind = obs::SpanKind::kHop;
-      hop.span.op = static_cast<std::uint8_t>(kind);
-      hop.span.label = msg_kind_name(kind);
-      hop.span.node = from;
-      hop.span.peer = to;
-      hop.span.begin = queue_.now();
-      hop.ctx = ctx;
-      hop.deliver = std::move(on_deliver);
-      // The token trampoline batches exactly like a plain delivery: spans
-      // never perturb the virtual timeline, batched or not.
-      deliver_or_batch(from, to, d,
-                       Deliver([this, token] { deliver_spanned(token); }));
-      return;
-    }
     deliver_or_batch(from, to, d, std::move(on_deliver));
     return;
   }
@@ -324,21 +296,6 @@ void Network::fire_batch(std::uint32_t s) {
   run.clear();
   batch_slots_[s] = std::move(run);  // hand the capacity back
   batch_free_.push_back(s);
-}
-
-void Network::deliver_spanned(std::uint64_t token) {
-  // Move the hop out BEFORE running anything: the continuation may send
-  // again and rehash the table.
-  auto it = pending_hops_.find(token);
-  DYNCON_INVARIANT(it != pending_hops_.end(), "unknown hop-span token");
-  PendingHop hop = std::move(it->second);
-  pending_hops_.erase(it);
-  hop.span.end = queue_.now();
-  obs::emit_span(hop.span);
-  // The continuation runs under the SENDER's causal context, so any sends
-  // it makes (forwarding an agent, acking a frame) chain to the same op.
-  obs::ScopedSpanContext scope(hop.ctx);
-  hop.deliver();
 }
 
 void Network::charge(const Message& prototype, std::uint64_t count) {

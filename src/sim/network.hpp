@@ -27,10 +27,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "obs/span.hpp"
 #include "sim/delay.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
@@ -201,17 +199,6 @@ class Network {
  private:
   friend class ReliableChannel;
 
-  /// Per-message hop-span state, parked between send and delivery.  A side
-  /// table keyed by a token captured in the continuation — NOT a field of
-  /// the message — so wire bytes, event timing, and the no-sink hot path
-  /// are untouched; the table is populated only when a SpanSink is
-  /// installed and the send happens inside a traced context.
-  struct PendingHop {
-    obs::Span span;
-    obs::SpanContext ctx;
-    Deliver deliver;
-  };
-
   /// The one batch currently accepting appends (at most one: adjacency is
   /// what makes coalescing order-exact).  A batch opens LAZILY: the head
   /// delivery is scheduled plain — exactly the unbatched path — and only
@@ -231,9 +218,6 @@ class Network {
   };
 
   void account(MsgKind kind, std::uint64_t bits, std::uint64_t count);
-  /// Deliver a span-wrapped message: close + emit its hop span, then run
-  /// the continuation under the sender's causal context.
-  void deliver_spanned(std::uint64_t token);
   /// One physical transmission: measure, charge (under the inner kind for
   /// channel data frames), consult the fault policy, schedule the surviving
   /// copies.  `send` routes here directly on a reliable network; the
@@ -263,8 +247,6 @@ class Network {
   OpenBatch open_;
   std::uint32_t guard_depth_ = 0;  ///< see guarded_dispatch()
   bool batching_ = true;
-  std::unordered_map<std::uint64_t, PendingHop> pending_hops_;
-  std::uint64_t hop_token_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t strict_max_bits_ = 0;
   LinkCheck link_check_;

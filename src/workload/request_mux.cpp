@@ -60,9 +60,9 @@ std::vector<MuxRequest> RequestMux::initial_requests() {
   std::vector<MuxRequest> out;
   if (cfg_.requests_per_user == 0) return out;
   out.reserve(users_.size());
-  // Arrival times come from one shared modulated process; the i-th arrival
+  // Arrival times come from one shared on/off process; the i-th arrival
   // belongs to user i, so the ramp is a pure function of the seed.
-  const auto arrivals = make_arrivals(cfg_.arrivals, pacing_seed_);
+  const auto arrivals = make_arrivals(ArrivalKind::kOnOff, pacing_seed_);
   SimTime when = 0;
   for (std::size_t i = 0; i < users_.size(); ++i) {
     when += arrivals->next_gap();

@@ -7,7 +7,7 @@
 // skewed, so a few trees are hot the way a few tenants always are —
 // (2) issues one grow / shrink / permit request against it, (3) waits for
 // the completion, thinks, and goes again.  First arrivals are paced by an
-// ArrivalProcess (on/off modulated by default: traffic comes in waves).
+// on/off modulated ArrivalProcess: traffic comes in waves.
 //
 // Determinism is the whole design: every user owns a split-chain Rng, so
 // the request stream of user u is a pure function of (seed, u) and of the
@@ -63,8 +63,6 @@ struct MuxConfig {
   double destroy_fraction = 0.0;
   /// Mean think time between a completion and the user's next request.
   SimTime mean_think = 12;
-  /// First arrivals are paced by this process (gap per user).
-  ArrivalKind arrivals = ArrivalKind::kOnOff;
 };
 
 /// One routed request: user `user` wants `op` on tree `tree`, submittable

@@ -331,6 +331,54 @@ TEST(CrashRecovery, IteratedWrapperRedrivesCrashFailedRequests) {
   EXPECT_LE(surfaced_crash_failures, reg.counter("recovery.redrives"));
 }
 
+TEST(CrashRecovery, IteratedZeroWasteTrivialTailGrantsTheLeftover) {
+  // W = 0: the final base iteration runs with W = 1, and the permits it
+  // leaves behind (crash-rescued static packages nobody claims) go to the
+  // trivial (1,0)-controller.  Its grants are the only ones delivered with
+  // no base iteration alive; together they must make up exactly M.
+  Rng rng(36);
+  sim::EventQueue queue;
+  sim::Network net(queue, sim::make_delay(sim::DelayKind::kUniform, 35));
+  DynamicTree t;
+  workload::build(t, workload::Shape::kRandomAttach, 24, rng);
+
+  sim::CrashSchedule sch(Rng(41), 0.5, 192, 24);
+  sch.set_limit(24);
+  sch.set_immune(t.root());
+  auto sched = std::make_shared<const sim::CrashSchedule>(sch);
+  net.set_fault_policy(sim::make_crash_stack(nullptr, sched));
+  net.enable_reliability();
+  sim::CrashDriver crashes(queue, sched);
+  sim::Watchdog wd(queue, 20'000'000);
+
+  const std::uint64_t M = 48;
+  IteratedController::Options opts;
+  opts.watchdog = &wd;
+  opts.crashes = &crashes;
+  opts.durability = agent::Durability::kVolatile;
+  opts.crash_redrives = 3;
+  IteratedController ctrl(net, t, M, /*W=*/0, 256, opts);
+  crashes.start(24, SimTime{1} << 15);
+
+  const auto nodes = t.alive_nodes();
+  std::uint64_t answered = 0, granted = 0, tail_grants = 0;
+  const std::uint64_t requests = 120;
+  for (std::uint64_t i = 0; i < requests; ++i) {
+    ctrl.submit_event(nodes[rng.index(nodes.size())], [&](const Result& r) {
+      ++answered;
+      granted += r.granted();
+      tail_grants += r.granted() && ctrl.inner() == nullptr;
+    });
+  }
+  queue.run();
+  while (wd.run_recovery_sweep() > 0) queue.run();
+  wd.verify_idle();
+
+  EXPECT_EQ(answered, requests);
+  EXPECT_EQ(granted, M);
+  EXPECT_GE(tail_grants, 1u) << "the trivial (1,0) tail never granted";
+}
+
 // ---- determinism ------------------------------------------------------------
 
 TEST(CrashRecovery, SameSeedIsByteIdentical) {

@@ -141,23 +141,6 @@ TEST(ForestExchange, WindowsAdvanceMonotonically) {
   EXPECT_GE(r.stats.windows, small_config(2).mux.requests_per_user);
 }
 
-// ---- per-shard RNG ----------------------------------------------------------
-
-TEST(ForestRng, ShardStreamsAreIndependentAndSeedStable) {
-  const ForestConfig cfg = small_config(8);
-  ForestEngine a(cfg, 1234);
-  ForestEngine b(cfg, 1234);
-  ForestEngine c(cfg, 4321);
-  const auto fa = a.shard_rng_fingerprints();
-  const auto fb = b.shard_rng_fingerprints();
-  const auto fc = c.shard_rng_fingerprints();
-  ASSERT_EQ(fa.size(), 8u);
-  EXPECT_EQ(fa, fb) << "same seed, same per-shard streams";
-  EXPECT_NE(fa, fc) << "different seed, different streams";
-  const std::set<std::uint64_t> unique(fa.begin(), fa.end());
-  EXPECT_EQ(unique.size(), fa.size()) << "shard streams must not collide";
-}
-
 // ---- registry merge ---------------------------------------------------------
 
 TEST(ForestRegistry, MergedTotalsMatchTheWorkload) {

@@ -1,8 +1,8 @@
 // Causal span tests: the SpanSink ring and context plumbing, root spans +
-// latency histograms from the request mux, hop spans from the network, and
-// the forest-level contract that the whole causal record (spans, timeline,
-// registry) is byte-identical at any shard count — and that the registry
-// itself is identical with spans on or off.
+// latency histograms from the request mux, and the forest-level contract
+// that the whole causal record (spans, timeline, registry) is byte-identical
+// at any shard count — and that the registry itself is identical with spans
+// on or off.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sim/network.hpp"
 #include "workload/request_mux.hpp"
 
 namespace dyncon {
@@ -66,16 +65,15 @@ TEST(SpanSink, JsonOmitsUnsetOptionalFields) {
   root.kind = obs::SpanKind::kRequest;
   root.begin = 5;
   root.end = 9;
-  sink.emit(root);  // no parent, no node/peer, no label
-  obs::Span hop;
-  hop.trace = 1;
-  hop.id = sink.open(1);
-  hop.parent = obs::kRootSpanId;
-  hop.kind = obs::SpanKind::kHop;
-  hop.node = 3;
-  hop.peer = 4;
-  hop.label = "agent";
-  sink.emit(hop);
+  sink.emit(root);  // no parent, no node, no label
+  obs::Span op;
+  op.trace = 1;
+  op.id = sink.open(1);
+  op.parent = obs::kRootSpanId;
+  op.kind = obs::SpanKind::kOp;
+  op.node = 3;
+  op.label = "agent";
+  sink.emit(op);
 
   const obs::json::Value doc = sink.to_json();
   EXPECT_EQ(doc.find("recorded")->as_uint(), 2u);
@@ -89,9 +87,8 @@ TEST(SpanSink, JsonOmitsUnsetOptionalFields) {
   ASSERT_NE(events[1].find("parent"), nullptr);
   EXPECT_EQ(events[1].find("parent")->as_uint(), 0u);
   EXPECT_EQ(events[1].find("node")->as_uint(), 3u);
-  EXPECT_EQ(events[1].find("peer")->as_uint(), 4u);
   EXPECT_EQ(events[1].find("label")->as_string(), "agent");
-  EXPECT_EQ(events[1].find("kind")->as_string(), "hop");
+  EXPECT_EQ(events[1].find("kind")->as_string(), "op");
 }
 
 TEST(SpanContext, ScopedInstallAndContextRestore) {
@@ -200,59 +197,6 @@ TEST(MuxSpans, LatencyHistogramIsOnWithoutASink) {
     return reg.to_json().dump();
   };
   EXPECT_EQ(run(false), run(true));
-}
-
-// ---- network hop spans ------------------------------------------------------
-
-TEST(NetworkSpans, HopSpanCarriesSenderContextToDelivery) {
-  sim::EventQueue q;
-  sim::Network net(q, std::make_unique<sim::FixedDelay>(2));
-  obs::SpanSink sink(16);
-  obs::ScopedSpans scope(sink);
-
-  obs::SpanContext seen{};
-  {
-    obs::ScopedSpanContext ctx(obs::SpanContext{5, 2});
-    net.send(0, 1, sim::Message::agent_hop(1, 3, 3, 0, 0, false),
-             [&] { seen = obs::current_span(); });
-  }
-  EXPECT_EQ(sink.recorded(), 0u) << "hop span closes at delivery, not send";
-  q.run();
-
-  EXPECT_EQ(seen.trace, 5u) << "continuation runs under the sender's context";
-  EXPECT_EQ(seen.span, 2u);
-  ASSERT_EQ(sink.recorded(), 1u);
-  const obs::Span& hop = sink.entries().front();
-  EXPECT_EQ(hop.trace, 5u);
-  EXPECT_EQ(hop.parent, 2u);
-  EXPECT_EQ(hop.kind, obs::SpanKind::kHop);
-  EXPECT_EQ(hop.node, 0u);
-  EXPECT_EQ(hop.peer, 1u);
-  EXPECT_EQ(hop.begin, 0u);
-  EXPECT_EQ(hop.end, 2u);
-  EXPECT_EQ(obs::current_span().trace, obs::kNoTrace)
-      << "delivery scope must not leak";
-}
-
-TEST(NetworkSpans, NoContextOrNoSinkMeansNoHopSpan) {
-  sim::EventQueue q;
-  sim::Network net(q, std::make_unique<sim::FixedDelay>(1));
-  obs::SpanSink sink(16);
-  int delivered = 0;
-  {
-    obs::ScopedSpans scope(sink);
-    // Sink installed but no traced context: untraced send.
-    net.send(0, 1, sim::Message::reject_wave(), [&] { ++delivered; });
-  }
-  {
-    // Traced context but no sink: also untraced.
-    obs::ScopedSpanContext ctx(obs::SpanContext{9, 0});
-    net.send(1, 2, sim::Message::reject_wave(), [&] { ++delivered; });
-  }
-  q.run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(sink.recorded(), 0u);
-  EXPECT_EQ(net.stats().messages, 2u) << "accounting is span-independent";
 }
 
 // ---- forest: the end-to-end determinism contract ----------------------------

@@ -452,8 +452,7 @@ def check_spans(path: str, spans: dict) -> None:
     non-negative durations, known kinds, and — when nothing was evicted, so
     the record is complete — unique (trace, id) pairs and parents that
     resolve within the same trace and start no later than their children
-    ("request" roots must also fully contain them; op parents may end
-    before a flood they started finishes)."""
+    ("request" roots must also fully contain them)."""
     if not spans:
         return  # section always present; empty when no sink was installed
     for key in ("capacity", "recorded", "overwritten", "events"):
@@ -471,7 +470,7 @@ def check_spans(path: str, spans: dict) -> None:
         for key in ("trace", "id", "kind", "begin", "end"):
             if key not in s:
                 fail(f"{path}: spans.events[{i}] lacks '{key}'")
-        if s["kind"] not in ("request", "op", "hop", "crash", "recovery"):
+        if s["kind"] not in ("request", "op"):
             fail(f"{path}: spans.events[{i}] has unknown kind "
                  f"'{s['kind']}'")
         if s["end"] < s["begin"]:
